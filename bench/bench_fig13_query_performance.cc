@@ -33,7 +33,9 @@ void RunShardedMode(const bench::Workload& w, core::StorageIndex* master,
   if (!bench::CopyIndexImage(master_dev, stack->raw.get(), image_bytes).ok()) {
     return;
   }
-  auto view = master->WithDevice(stack->raw.get());
+  // Shards over the charged stack: each shard's queue is a ChargedDevice
+  // too, so every shard pays the submission cost on its own core.
+  auto view = master->WithDevice(stack->device());
 
   bench::PrintHeader(
       "Sharded mode (" + w.spec.name + ", cSSDx4/io_uring): QPS vs. cores",
@@ -50,10 +52,9 @@ void RunShardedMode(const bench::Workload& w, core::StorageIndex* master,
     // paper's configuration while the per-core submission work shrinks.
     sopts.total_contexts = 64;
     sopts.total_inflight_ios = 512;
-    sopts.wrap_shard_device =
-        bench::ChargeWrapper(storage::InterfaceKind::kIoUring);
-    core::ShardedQueryEngine engine(view.get(), &w.gen.base, sopts);
-    auto batch = engine.SearchBatch(w.gen.queries, 1);
+    auto engine = core::ShardedQueryEngine::Create(view.get(), &w.gen.base, sopts);
+    if (!engine.ok()) continue;
+    auto batch = (*engine)->SearchBatch(w.gen.queries, 1);
     if (!batch.ok()) continue;
     bench::PrintRow(
         {std::to_string(s), bench::Fmt(batch->QueriesPerSecond(), 0),
@@ -65,7 +66,6 @@ void RunShardedMode(const bench::Workload& w, core::StorageIndex* master,
                       .Set("bench", "fig13_sharded")
                       .Set("dataset", w.spec.name)
                       .Set("shards", s)
-                      .Set("queue_mode", engine.queue_mode())
                       .Set("qps", batch->QueriesPerSecond())
                       .Set("mean_ios", batch->MeanIos())
                       .Set("wall_ms", static_cast<double>(batch->wall_ns) / 1e6)

@@ -43,33 +43,38 @@ int main(int argc, char** argv) {
   struct OsSetup {
     bench::StorageStack stack;
     std::unique_ptr<core::StorageIndex> index;
-    storage::InterfaceKind iface;
+    std::unique_ptr<core::StorageIndex> view;  ///< index on stack.charged
     double qps1 = 0;
     double n_io = 0;
     double iops_total = 0;
   };
-  // One sharded run: QPS plus the queue plumbing the engine resolved
-  // ("native" per-shard device queues vs the QueueRouter shim) and the
-  // per-shard read counts from the per-queue device counters — the
-  // balance evidence behind the one-queue-pair-per-thread claim.
+  // One sharded run: QPS plus the per-shard read counts from the
+  // per-queue device counters — the balance evidence behind the
+  // one-queue-pair-per-thread claim.
   struct ShardedRun {
     double qps = 0;
-    const char* queue_mode = "direct";
     uint64_t shard_reads_min = 0;
     uint64_t shard_reads_max = 0;
     uint64_t shard_reads_total = 0;
   };
   // Shard the batch across `t` engines over the setup's shared drives;
-  // per-shard queue pairs and interface cost come from the engine API.
+  // per-shard queue pairs come from the engine API, and the charged view
+  // makes each queue pay the interface cost on its shard's core.
   auto sharded_run = [&](OsSetup& s, uint32_t t) -> ShardedRun {
+    ShardedRun run;
     core::ShardOptions sopts;
     sopts.num_shards = t;
     // Per-shard budgets stay at the paper's per-thread configuration
     // (32 contexts / 256 deep): total queue depth grows with cores.
     sopts.total_contexts = 32 * t;
     sopts.total_inflight_ios = 256 * t;
-    sopts.wrap_shard_device = bench::ChargeWrapper(s.iface);
-    core::ShardedQueryEngine engine(s.index.get(), &w->gen.base, sopts);
+    auto engine_or =
+        core::ShardedQueryEngine::Create(s.view.get(), &w->gen.base, sopts);
+    if (!engine_or.ok()) return run;
+    core::ShardedQueryEngine& engine = **engine_or;
+    // The 1-shard engine reads the shared device directly: start its
+    // per-shard counters from zero like a fresh queue's.
+    s.stack.device()->ResetStats();
 
     // Replicate the query set per shard: every shard processes the full
     // set, matching the per-thread workload of the paper's measurement.
@@ -81,9 +86,7 @@ int main(int argc, char** argv) {
       }
     }
     auto batch = engine.SearchBatch(replicated, 1);
-    ShardedRun run;
     run.qps = batch.ok() ? batch->QueriesPerSecond() : 0.0;
-    run.queue_mode = engine.queue_mode();
     for (uint32_t shard = 0; shard < engine.num_shards(); ++shard) {
       const uint64_t reads =
           engine.shard_device(shard)->stats().reads_completed;
@@ -97,19 +100,19 @@ int main(int argc, char** argv) {
   auto make_os = [&](storage::DeviceKind kind, uint32_t count,
                      storage::InterfaceKind iface) -> Result<OsSetup> {
     OsSetup s;
-    s.iface = iface;
     E2_ASSIGN_OR_RETURN(s.stack, bench::MakeStack(kind, count, iface));
-    // Build on the raw stripe set: each shard charges its own interface
-    // cost, so the stack-level ChargedDevice must stay off the hot path.
+    // Build on the raw stripe set (construction is not charged), serve
+    // through the charged view.
     E2_ASSIGN_OR_RETURN(s.index, core::IndexBuilder::Build(
                                      w->gen.base, w->params, s.stack.raw.get()));
+    s.view = s.index->WithDevice(s.stack.device());
     core::ShardOptions one;
     one.num_shards = 1;
     one.total_contexts = 64;
     one.total_inflight_ios = 512;
-    one.wrap_shard_device = bench::ChargeWrapper(iface);
-    core::ShardedQueryEngine engine(s.index.get(), &w->gen.base, one);
-    E2_ASSIGN_OR_RETURN(auto batch, engine.SearchBatch(w->gen.queries, 1));
+    E2_ASSIGN_OR_RETURN(auto engine, core::ShardedQueryEngine::Create(
+                                         s.view.get(), &w->gen.base, one));
+    E2_ASSIGN_OR_RETURN(auto batch, engine->SearchBatch(w->gen.queries, 1));
     s.qps1 = batch.QueriesPerSecond();
     s.n_io = batch.MeanIos();
     s.iops_total = storage::GetDeviceModel(kind).ExpectedIops(128) * count;
@@ -165,7 +168,6 @@ int main(int argc, char** argv) {
                       .Set("dataset", name)
                       .Set("threads", t)
                       .Set("hw_threads", hw)
-                      .Set("queue_mode", cssd_run.queue_mode)
                       .Set("srs_measured_qps", srs_meas)
                       .Set("srs_model_qps", srs_model)
                       .Set("cssd_measured_qps", cssd_meas)
@@ -182,9 +184,9 @@ int main(int argc, char** argv) {
     }
     if (t == threads.back()) {
       std::printf(
-          "\nQueue plumbing: %s (per-shard reads at %u threads: cSSDx4 "
-          "min/max %llu/%llu, XLFDDx12 min/max %llu/%llu)\n",
-          cssd_run.queue_mode, t,
+          "\nPer-shard reads at %u threads: cSSDx4 min/max %llu/%llu, "
+          "XLFDDx12 min/max %llu/%llu\n",
+          t,
           static_cast<unsigned long long>(cssd_run.shard_reads_min),
           static_cast<unsigned long long>(cssd_run.shard_reads_max),
           static_cast<unsigned long long>(xlfdd_run.shard_reads_min),

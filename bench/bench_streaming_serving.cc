@@ -103,12 +103,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Shard over the charged stack: each shard's queue is a ChargedDevice
+  // too, so every shard pays the io_uring submission cost on its core.
+  auto view = (*index)->WithDevice(stack->device());
   core::ShardOptions sopts;
   sopts.num_shards = args.shards;
   sopts.total_contexts = 32 * args.shards;
   sopts.total_inflight_ios = 256 * args.shards;
-  sopts.wrap_shard_device = bench::ChargeWrapper(storage::InterfaceKind::kIoUring);
-  core::ShardedQueryEngine engine(index->get(), &w->gen.base, sopts);
+  auto engine_or = core::ShardedQueryEngine::Create(view.get(), &w->gen.base, sopts);
+  if (!engine_or.ok()) {
+    std::fprintf(stderr, "error: %s\n", engine_or.status().ToString().c_str());
+    return 1;
+  }
+  core::ShardedQueryEngine& engine = **engine_or;
 
   // Closed-loop capacity estimate: one-shot batch QPS sets the sweep's
   // upper anchor.

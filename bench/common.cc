@@ -260,16 +260,6 @@ Result<StorageStack> MakeStack(storage::DeviceKind kind, uint32_t count,
   return stack;
 }
 
-std::function<std::unique_ptr<storage::BlockDevice>(
-    std::unique_ptr<storage::BlockDevice>)>
-ChargeWrapper(storage::InterfaceKind iface) {
-  const storage::InterfaceSpec spec = storage::GetInterfaceSpec(iface);
-  return [spec](std::unique_ptr<storage::BlockDevice> queue)
-             -> std::unique_ptr<storage::BlockDevice> {
-    return std::make_unique<storage::ChargedDevice>(std::move(queue), spec);
-  };
-}
-
 Status FillDeviceWithNoise(storage::BlockDevice* dev, uint64_t bytes) {
   util::Rng rng(7);
   util::AlignedBuffer chunk(1 << 20, 4096);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,13 +198,6 @@ struct StorageStack {
 Result<StorageStack> MakeStack(storage::DeviceKind kind, uint32_t count,
                                storage::InterfaceKind iface,
                                uint32_t queue_capacity = 1024);
-
-/// A core::ShardOptions::wrap_shard_device hook that wraps each shard's
-/// queue pair in a ChargedDevice, so every shard pays `iface`'s per-core
-/// submission cost on its own core.
-std::function<std::unique_ptr<storage::BlockDevice>(
-    std::unique_ptr<storage::BlockDevice>)>
-ChargeWrapper(storage::InterfaceKind iface);
 
 /// Copy a built index byte image from one device to another (so one build
 /// can be benchmarked on many storage configurations).

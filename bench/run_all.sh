@@ -67,23 +67,18 @@ jmax() {
     END { if (seen) printf "%g", m; else printf "0" }' "$1"
 }
 
-# First string value of a key (empty when absent).
-jstr() {
-  awk -v k="$2" '
-    match($0, "\"" k "\":\"[^\"]*\"") {
-      print substr($0, RSTART + length(k) + 4, RLENGTH - length(k) - 5);
-      exit
-    }' "$1"
-}
-
+# A bench that is missing or exits nonzero fails the whole run: every
+# bench still runs (so one invocation reports all failures), but no
+# BENCH_<n>.json is written and the script exits 1.
+failed=""
 run_bench() {
   name="$1"
   shift
   echo "== $name" >&2
   if ! "$build/$name" "$@" --json "$raw/$name.jsonl" > "$raw/$name.log" 2>&1; then
-    echo "   FAILED (see $name.log; kept out of the summary)" >&2
-    rm -f "$raw/$name.jsonl"
-    return 0
+    echo "   FAILED:" >&2
+    tail -n 5 "$raw/$name.log" >&2 || true
+    failed="$failed $name"
   fi
 }
 
@@ -96,6 +91,11 @@ run_bench bench_fig16_multithreading --n "$n" --queries "$queries"
 run_bench bench_streaming_serving --n "$n" --queries 64 --shards 2
 run_bench bench_skew_cache --n "$n"
 run_bench bench_update_serving --n "$n" --queries 64
+
+if [ -n "$failed" ]; then
+  echo "failed benches:$failed; no BENCH_$run.json written" >&2
+  exit 1
+fi
 
 git_rev="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
@@ -132,19 +132,17 @@ git_rev="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || ech
 
   f="$raw/bench_fig13_query_performance.jsonl"
   if [ -s "$f" ]; then
-    printf '%b    "fig13_query_performance": {"peak_speedup_io_uring": %s, "peak_speedup_xlfdd": %s, "peak_sharded_qps": %s, "queue_mode": "%s"}' \
+    printf '%b    "fig13_query_performance": {"peak_speedup_io_uring": %s, "peak_speedup_xlfdd": %s, "peak_sharded_qps": %s}' \
       "$sep" "$(jmax "$f" speedup_e2lshos_io_uring)" \
-      "$(jmax "$f" speedup_e2lshos_xlfdd)" "$(jmax "$f" qps)" \
-      "$(jstr "$f" queue_mode)"
+      "$(jmax "$f" speedup_e2lshos_xlfdd)" "$(jmax "$f" qps)"
     sep=",\n"
   fi
 
   f="$raw/bench_fig16_multithreading.jsonl"
   if [ -s "$f" ]; then
-    printf '%b    "fig16_multithreading": {"peak_cssd_qps": %s, "peak_xlfdd_qps": %s, "peak_srs_qps": %s, "queue_mode": "%s"}' \
+    printf '%b    "fig16_multithreading": {"peak_cssd_qps": %s, "peak_xlfdd_qps": %s, "peak_srs_qps": %s}' \
       "$sep" "$(jmax "$f" cssd_measured_qps)" \
-      "$(jmax "$f" xlfdd_measured_qps)" "$(jmax "$f" srs_measured_qps)" \
-      "$(jstr "$f" queue_mode)"
+      "$(jmax "$f" xlfdd_measured_qps)" "$(jmax "$f" srs_measured_qps)"
     sep=",\n"
   fi
 

@@ -19,13 +19,18 @@ mkdir -p "$fake" "$out"
 
 stubs="bench_table2_devices bench_uring_vs_threadpool \
 bench_fig11_storage_configs bench_fig13_query_performance \
-bench_fig16_multithreading bench_streaming_serving bench_skew_cache"
+bench_fig16_multithreading bench_streaming_serving bench_skew_cache \
+bench_update_serving"
 
 # Every stub accepts the real flag vocabulary and emits one JSONL row;
-# SLEEP_FILE makes a stub dawdle so the kill lands mid-run.
+# a nonzero sleep makes a stub dawdle so the kill lands mid-run, and the
+# stub named by the optional second argument exits 1.
 write_stubs() {
   sleep_s="$1"
+  failing="${2:-}"
   for b in $stubs; do
+    code=0
+    [ "$b" = "$failing" ] && code=1
     cat > "$fake/$b" <<EOF
 #!/bin/sh
 json=""
@@ -36,7 +41,7 @@ for a in "\$@"; do
 done
 [ "$sleep_s" != "0" ] && sleep "$sleep_s"
 [ -n "\$json" ] && printf '{"bench":"stub","qps":1,"p99_us":2}\n' > "\$json"
-exit 0
+exit $code
 EOF
     chmod +x "$fake/$b"
   done
@@ -71,5 +76,15 @@ done
 # --- Phase 3: numbering continues past the completed snapshot. --------------
 sh "$run_all" "$fake" "$out" >/dev/null 2>&1 || fail "second run failed"
 [ -s "$out/BENCH_2.json" ] || fail "second run did not advance to BENCH_2"
+
+# --- Phase 4: a failing bench fails the run and writes no snapshot. ---------
+write_stubs 0 bench_fig16_multithreading
+if sh "$run_all" "$fake" "$out" >/dev/null 2>&1; then
+  fail "run with a failing bench exited 0"
+fi
+[ -e "$out/BENCH_3.json" ] && fail "run with a failing bench wrote BENCH_3.json"
+for f in "$out"/BENCH_3.json.tmp.*; do
+  [ -e "$f" ] && fail "failed run left '$f' behind"
+done
 
 echo "PASS: run_all.sh snapshots are atomic"

@@ -24,9 +24,9 @@
 // this door. Devices are selected by URI (storage::ParseDeviceUri):
 // mem:, sim:cssd|essd|xlfdd|hdd[*N][?iface=...], file:PATH?direct=1&
 // threads=N, uring:PATH?direct=1&sqpoll=1. Sharded serving takes one
-// NATIVE device queue per shard when the backend supports it; the
-// `queues=N` key caps that (0 = always the QueueRouter shim) and
-// `fixed=1` (uring:) registers engine arenas for READ_FIXED I/O.
+// native device queue per shard (a backend that cannot create one fails
+// the query with its Status); `fixed=1` (uring:) registers engine
+// arenas for READ_FIXED I/O.
 // `cache=SIZE` (any scheme) layers a transparent DRAM read cache over
 // the device so hot buckets serve at memory speed (storage/cache_device.h).
 #pragma once

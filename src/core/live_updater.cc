@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "storage/multi_queue.h"
 #include "util/aligned_buffer.h"
 
 namespace e2lshos::core {
@@ -121,11 +120,11 @@ LiveUpdater::LiveUpdater(StorageIndex* index) : index_(index) {
   base_rows_ = index_->n_;
   next_block_ = index_->next_block_idx_;
   tombstones_ = index_->tombstones_;
-  if (storage::MultiQueueDevice* mq = index_->device_->multi_queue()) {
+  {
     storage::QueueOptions opts;
     opts.queue_capacity = 8;
     opts.io_threads = 1;
-    auto queue = mq->CreateQueue(opts);
+    auto queue = index_->device_->CreateQueue(opts);
     if (queue.ok()) read_queue_ = std::move(*queue);
   }
   // Round the private boundary up so no staging RMW window covers a

@@ -58,10 +58,11 @@ uint32_t ResolveShardCount(uint32_t requested) {
   return std::min(requested, kMaxShards);
 }
 
-ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
-                                       const data::Dataset* base,
-                                       const ShardOptions& options)
-    : index_(index), base_(base) {
+Result<std::unique_ptr<ShardedQueryEngine>> ShardedQueryEngine::Create(
+    const StorageIndex* index, const data::Dataset* base,
+    const ShardOptions& options) {
+  std::unique_ptr<ShardedQueryEngine> engine(
+      new ShardedQueryEngine(index, base));
   uint32_t shards = ResolveShardCount(options.num_shards);
   // Never more shards than the global budgets: each engine needs at
   // least one context and one in-flight I/O to make progress, and the
@@ -70,44 +71,35 @@ ShardedQueryEngine::ShardedQueryEngine(const StorageIndex* index,
   shards = std::min(shards, std::max(1u, options.total_contexts));
   shards = std::min(shards, std::max(1u, options.total_inflight_ios));
 
-  shard_opts_.num_contexts = std::max(1u, options.total_contexts / shards);
-  shard_opts_.max_inflight_ios = std::max(1u, options.total_inflight_ios / shards);
-  shard_opts_.synchronous = options.synchronous;
-  shard_opts_.register_fixed_buffers = options.register_fixed_buffers;
+  EngineOptions& shard_opts = engine->shard_opts_;
+  shard_opts.num_contexts = std::max(1u, options.total_contexts / shards);
+  shard_opts.max_inflight_ios = std::max(1u, options.total_inflight_ios / shards);
+  shard_opts.synchronous = options.synchronous;
+  shard_opts.register_fixed_buffers = options.register_fixed_buffers;
 
-  if (shards == 1 && !options.wrap_shard_device) {
+  if (shards == 1) {
     // Degenerate case: one engine straight on the index's device — no
     // queue indirection, no worker thread, no batch slicing.
-    engines_.push_back(std::make_unique<QueryEngine>(index_, base_, shard_opts_));
-    return;
+    engine->engines_.push_back(
+        std::make_unique<QueryEngine>(index, base, shard_opts));
+    return engine;
   }
 
-  // One device queue per shard: native rings when the device offers them
-  // (and policy allows), the QueueRouter shim otherwise.
-  storage::AcquireOptions aq;
-  aq.queue.queue_capacity = shard_opts_.max_inflight_ios;
-  aq.force_router = options.queue_mode == QueueMode::kRouter;
-  aq.max_native = options.max_native_queues;
-  storage::QueueSet queue_set =
-      storage::AcquireQueues(index_->device(), shards, aq);
-  native_queues_ = queue_set.native;
-  router_ = std::move(queue_set.router);
-
-  shard_devices_.reserve(shards);
-  views_.reserve(shards);
-  engines_.reserve(shards);
+  storage::QueueOptions queue_opts;
+  queue_opts.queue_capacity = shard_opts.max_inflight_ios;
+  engine->shard_devices_.reserve(shards);
+  engine->views_.reserve(shards);
+  engine->engines_.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    std::unique_ptr<storage::BlockDevice> queue =
-        std::move(queue_set.queues[s]);
-    if (options.wrap_shard_device) {
-      queue = options.wrap_shard_device(std::move(queue));
-    }
-    shard_devices_.push_back(std::move(queue));
-    views_.push_back(index_->WithDevice(shard_devices_.back().get()));
-    engines_.push_back(std::make_unique<QueryEngine>(views_.back().get(), base_,
-                                                     shard_opts_));
+    E2_ASSIGN_OR_RETURN(auto queue, index->device()->CreateQueue(queue_opts));
+    engine->shard_devices_.push_back(std::move(queue));
+    engine->views_.push_back(
+        index->WithDevice(engine->shard_devices_.back().get()));
+    engine->engines_.push_back(std::make_unique<QueryEngine>(
+        engine->views_.back().get(), base, shard_opts));
   }
-  pool_ = std::make_unique<util::ThreadPool>(shards);
+  engine->pool_ = std::make_unique<util::ThreadPool>(shards);
+  return engine;
 }
 
 Result<BatchResult> ShardedQueryEngine::SearchBatch(const data::Dataset& queries,

@@ -9,13 +9,12 @@
 //
 //   * the batch is split into contiguous, near-equal ranges, one per
 //     shard, so the merged results preserve query order;
-//   * every shard owns an independent queue over the shared device
-//     (NVMe multi-queue semantics: a shard never consumes another
-//     shard's completions). On a multi-queue-capable device each shard
-//     gets a NATIVE queue — its own io_uring ring / pread slice /
-//     completion inbox — so the per-shard submit/poll hot path crosses
-//     no shared lock; otherwise the QueueRouter shim multiplexes the
-//     single completion stream in software;
+//   * every shard owns a native queue over the shared device
+//     (BlockDevice::CreateQueue, NVMe multi-queue semantics: a shard
+//     never consumes another shard's completions) — its own io_uring
+//     ring / pread slice / completion inbox — so the per-shard
+//     submit/poll hot path crosses no shared lock. A device that cannot
+//     create a queue fails Create with its Status;
 //   * per-shard context / inflight budgets are derived from global
 //     budgets, so the device-visible queue depth stays at the configured
 //     cap no matter how many shards poll it;
@@ -24,22 +23,14 @@
 //     whole parallel section (never the sum of per-shard times).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/query_engine.h"
 #include "core/storage_index.h"
-#include "storage/multi_queue.h"
 #include "util/thread_pool.h"
 
 namespace e2lshos::core {
-
-/// \brief How shards acquire device queues (the `queues=` URI knob).
-enum class QueueMode {
-  kAuto,    ///< Native queues when the device offers them, router otherwise.
-  kRouter,  ///< Always the QueueRouter shim (the pre-multi-queue behavior).
-};
 
 struct ShardOptions {
   /// Number of per-core engines; 0 = one per hardware thread.
@@ -53,24 +44,13 @@ struct ShardOptions {
   uint32_t total_inflight_ios = 256;
   /// Fig. 1(A) mode: every shard runs one blocking I/O at a time.
   bool synchronous = false;
-  /// Queue-acquisition policy for the per-shard devices.
-  QueueMode queue_mode = QueueMode::kAuto;
-  /// Cap on native queues (0 = uncapped): asking for more shards than
-  /// this falls back to the router for ALL shards (never a mixed set).
-  uint32_t max_native_queues = 0;
   /// Register every shard engine's I/O arena with its device at startup
   /// (UringDevice: READ_FIXED, no per-I/O page pinning). Best-effort —
   /// devices without fixed-buffer support simply run unregistered.
   bool register_fixed_buffers = false;
-  /// Optional decorator applied to each shard's routed queue before the
-  /// shard engine sees it — e.g. wrap it in a storage::ChargedDevice so
-  /// every shard pays its own per-core interface submission cost.
-  std::function<std::unique_ptr<storage::BlockDevice>(
-      std::unique_ptr<storage::BlockDevice>)>
-      wrap_shard_device;
 };
 
-/// Hard cap on shards (a QueueRouter supports at most 255 queues).
+/// Hard cap on shards (each takes a device queue and a worker thread).
 inline constexpr uint32_t kMaxShards = 255;
 
 /// Resolve a requested shard count (0 = one per hardware thread) to the
@@ -107,12 +87,14 @@ class ShardedQueryEngine {
  public:
   /// The index and base dataset must outlive the engine; the shared
   /// device is the one the index was built on. Each shard gets its own
-  /// StorageIndex view (DRAM metadata is duplicated per shard, as in the
-  /// Fig. 16 per-thread setup). A 1-shard engine with no device wrapper
-  /// degenerates to a plain QueryEngine on the index's device: no queue
-  /// pair, no worker thread, no batch copy.
-  ShardedQueryEngine(const StorageIndex* index, const data::Dataset* base,
-                     const ShardOptions& options = {});
+  /// native queue on that device and its own StorageIndex view (DRAM
+  /// metadata is duplicated per shard, as in the Fig. 16 per-thread
+  /// setup). A 1-shard engine degenerates to a plain QueryEngine on the
+  /// index's device: no queue pair, no worker thread, no batch copy.
+  /// Fails with the device's Status when it cannot create a queue.
+  static Result<std::unique_ptr<ShardedQueryEngine>> Create(
+      const StorageIndex* index, const data::Dataset* base,
+      const ShardOptions& options = {});
 
   /// Run top-k ANNS for every query in `queries` across all shards.
   /// Results are in query order. As long as the per-radius candidate cap
@@ -136,30 +118,20 @@ class ShardedQueryEngine {
   /// must not run concurrently with per-shard dispatch.
   QueryEngine* shard_engine(uint32_t s) { return engines_[s].get(); }
 
-  /// True when every shard runs on a native device queue (no QueueRouter
-  /// lock is reachable from the serving hot path).
-  bool native_queues() const { return native_queues_; }
-  /// "direct" (1-shard degenerate path, straight on the index's device),
-  /// "native", or "router" — the `queue_mode` key of bench JSONL rows.
-  const char* queue_mode() const {
-    if (pool_ == nullptr) return "direct";
-    return native_queues_ ? "native" : "router";
-  }
-  /// The device shard `s` actually submits to (its queue, after any
-  /// wrap_shard_device decoration) — per-shard stats come from here.
+  /// The device shard `s` actually submits to (its queue; the index's
+  /// device on the 1-shard path) — per-shard stats come from here.
   storage::BlockDevice* shard_device(uint32_t s) {
     if (pool_ == nullptr) return index_->device();
     return shard_devices_[s].get();
   }
 
  private:
+  ShardedQueryEngine(const StorageIndex* index, const data::Dataset* base)
+      : index_(index), base_(base) {}
+
   const StorageIndex* index_;
   const data::Dataset* base_;
   EngineOptions shard_opts_;
-  bool native_queues_ = false;
-  /// Fallback shim; null on the native-queue and degenerate paths.
-  /// Declared before shard_devices_ so the queues are destroyed first.
-  std::unique_ptr<storage::QueueRouter> router_;
   std::vector<std::unique_ptr<storage::BlockDevice>> shard_devices_;
   std::vector<std::unique_ptr<StorageIndex>> views_;
   std::vector<std::unique_ptr<QueryEngine>> engines_;

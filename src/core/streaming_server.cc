@@ -131,6 +131,10 @@ bool StreamingServer::FormBatch(std::vector<StreamQuery>* batch,
         if (!batch->empty()) {
           if (util::NowNs() - first_pull_ns >= max_wait_ns) return false;
           std::this_thread::yield();
+        } else if (!shed->empty()) {
+          // Only rejections pulled and the stream is idle: deliver them
+          // now, not whenever the next query happens to arrive.
+          return false;
         } else {
           // Idle: nothing pulled yet, nothing to flush. Sleep briefly so
           // an idle server doesn't spin a core per shard.

@@ -9,6 +9,11 @@ Status BlockDevice::RegisterBuffers(
   return Status::Unimplemented("fixed buffers are not supported by " + name());
 }
 
+Result<std::unique_ptr<BlockDevice>> BlockDevice::CreateQueue(
+    const QueueOptions&) {
+  return Status::Unimplemented(name() + " has no native queues");
+}
+
 Status BlockDevice::ReadSync(uint64_t offset, void* buf, uint32_t length) {
   IoRequest req;
   req.offset = offset;

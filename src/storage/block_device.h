@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,8 +32,6 @@
 #include "util/status.h"
 
 namespace e2lshos::storage {
-
-class MultiQueueDevice;  // storage/multi_queue.h
 
 /// \brief The read unit used throughout the paper: the minimum NVMe
 /// sector size.
@@ -96,30 +95,40 @@ struct DeviceStats {
   uint64_t update_staged_bytes = 0;  ///< Device bytes written by staging.
   uint64_t update_lag = 0;  ///< Ops staged but not yet reader-visible.
   util::LatencyHistogram read_latency;
+
+  /// Fold `more` in: counters add, the latency histogram merges.
+  /// bytes_cached adds too: per-queue snapshots report 0 and only the
+  /// cache parent contributes the gauge, so the aggregate stays the gauge.
+  DeviceStats& operator+=(const DeviceStats& more) {
+    reads_submitted += more.reads_submitted;
+    reads_completed += more.reads_completed;
+    bytes_read += more.bytes_read;
+    bytes_written += more.bytes_written;
+    busy_ns += more.busy_ns;
+    cache_hits += more.cache_hits;
+    cache_misses += more.cache_misses;
+    cache_evictions += more.cache_evictions;
+    bytes_cached += more.bytes_cached;
+    faults_injected += more.faults_injected;
+    retries += more.retries;
+    retries_exhausted += more.retries_exhausted;
+    updates_applied += more.updates_applied;
+    epochs_published += more.epochs_published;
+    update_staged_bytes += more.update_staged_bytes;
+    update_lag += more.update_lag;
+    read_latency.Merge(more.read_latency);
+    return *this;
+  }
 };
 
-/// Fold `more` into `into`: counters add, the latency histogram merges.
-/// bytes_cached adds too: per-queue snapshots report 0 and only the cache
-/// parent contributes the gauge, so the aggregate stays the gauge.
-inline void MergeDeviceStats(DeviceStats* into, const DeviceStats& more) {
-  into->reads_submitted += more.reads_submitted;
-  into->reads_completed += more.reads_completed;
-  into->bytes_read += more.bytes_read;
-  into->bytes_written += more.bytes_written;
-  into->busy_ns += more.busy_ns;
-  into->cache_hits += more.cache_hits;
-  into->cache_misses += more.cache_misses;
-  into->cache_evictions += more.cache_evictions;
-  into->bytes_cached += more.bytes_cached;
-  into->faults_injected += more.faults_injected;
-  into->retries += more.retries;
-  into->retries_exhausted += more.retries_exhausted;
-  into->updates_applied += more.updates_applied;
-  into->epochs_published += more.epochs_published;
-  into->update_staged_bytes += more.update_staged_bytes;
-  into->update_lag += more.update_lag;
-  into->read_latency.Merge(more.read_latency);
-}
+/// \brief Per-queue configuration for BlockDevice::CreateQueue.
+struct QueueOptions {
+  /// Max submitted-but-unharvested reads on this queue.
+  uint32_t queue_capacity = 256;
+  /// FileDevice queues only: width of the queue's private pread-thread
+  /// slice (its share of the per-queue "hardware" parallelism).
+  uint32_t io_threads = 2;
+};
 
 class BlockDevice {
  public:
@@ -167,11 +176,17 @@ class BlockDevice {
   virtual DeviceStats stats() const = 0;
   virtual void ResetStats() = 0;
 
-  /// Native multi-queue capability (NVMe semantics: one queue pair per
-  /// serving thread; see storage/multi_queue.h). nullptr = no native
-  /// queues; callers fall back to the QueueRouter shim, typically via
-  /// AcquireQueues which does so automatically.
-  virtual MultiQueueDevice* multi_queue() { return nullptr; }
+  /// Create an independently-pollable queue over this device (NVMe
+  /// semantics: one queue pair per serving thread, paper Sec. 6.5). The
+  /// queue owns its submissions and completions: polling it never
+  /// consumes another queue's completions, and its outstanding()/stats()
+  /// cover only its own traffic, while the device's own counters keep
+  /// covering every queue, live or destroyed. Thread-safe; the returned
+  /// queue is driven by one thread at a time and must not outlive the
+  /// device. Every backend and layer in storage/ implements it; the
+  /// default (for devices without queues) is Unimplemented.
+  virtual Result<std::unique_ptr<BlockDevice>> CreateQueue(
+      const QueueOptions& options);
 
   /// Pin caller-owned buffer regions with the device so reads into them
   /// skip per-I/O setup (io_uring READ_FIXED). Call before I/O is in

@@ -353,16 +353,15 @@ class CacheDevice::Lane {
 class CacheDevice::Queue : public BlockDevice {
  public:
   Queue(CacheDevice* parent, std::unique_ptr<BlockDevice> endpoint,
-        uint32_t id, uint32_t inbox_capacity)
+        uint32_t inbox_capacity)
       : parent_(parent),
         endpoint_(std::move(endpoint)),
         lane_(parent->store_.get(), endpoint_.get(), parent->capacity(),
               parent->io_alignment(), inbox_capacity,
-              parent->options_.max_cached_read_blocks),
-        id_(id) {
-    parent_->queue_registry_.Add(this);
+              parent->options_.max_cached_read_blocks) {
+    id_ = parent_->lanes_.Add(&lane_);
   }
-  ~Queue() override { parent_->queue_registry_.Remove(this); }
+  ~Queue() override { parent_->lanes_.Remove(&lane_); }
 
   Status SubmitRead(const IoRequest& req) override {
     return lane_.SubmitRead(req);
@@ -386,7 +385,7 @@ class CacheDevice::Queue : public BlockDevice {
   CacheDevice* parent_;
   std::unique_ptr<BlockDevice> endpoint_;
   Lane lane_;
-  uint32_t id_;
+  uint32_t id_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -403,6 +402,7 @@ CacheDevice::CacheDevice(std::unique_ptr<BlockDevice> owned,
                                  inner_->io_alignment(),
                                  std::max(1u, options_.queue_capacity),
                                  options_.max_cached_read_blocks);
+  lanes_.Add(lane_.get());
 }
 
 CacheDevice::~CacheDevice() = default;
@@ -455,9 +455,7 @@ Status CacheDevice::Write(uint64_t offset, const void* data, uint32_t length) {
   return Status::OK();
 }
 
-uint32_t CacheDevice::outstanding() const {
-  return lane_->outstanding() + queue_registry_.SumOutstanding();
-}
+uint32_t CacheDevice::outstanding() const { return lanes_.Outstanding(); }
 
 std::string CacheDevice::name() const {
   return "cache(" + std::to_string(options_.capacity_bytes) + "B)+" +
@@ -469,8 +467,7 @@ uint32_t CacheDevice::cache_block_bytes() const {
 }
 
 DeviceStats CacheDevice::stats() const {
-  DeviceStats out = lane_->stats();
-  queue_registry_.MergeStats(&out);
+  DeviceStats out = lanes_.Total();
   out.cache_evictions += store_->evictions();
   out.bytes_cached += store_->bytes_cached();
   // The lane counts cache-level reads (hits never reach the device); the
@@ -480,30 +477,16 @@ DeviceStats CacheDevice::stats() const {
 }
 
 void CacheDevice::ResetStats() {
-  lane_->ResetStats();
-  queue_registry_.ResetAll();
+  lanes_.Reset();
   store_->ResetEvictions();
   inner_->ResetStats();
 }
 
-uint32_t CacheDevice::max_queues() const {
-  MultiQueueDevice* mq =
-      const_cast<CacheDevice*>(this)->inner_->multi_queue();
-  return mq != nullptr ? mq->max_queues() : 0;
-}
-
 Result<std::unique_ptr<BlockDevice>> CacheDevice::CreateQueue(
     const QueueOptions& options) {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  if (mq == nullptr) {
-    return Status::FailedPrecondition(
-        "inner device has no native queues; use AcquireQueues (router)");
-  }
-  E2_ASSIGN_OR_RETURN(auto endpoint, mq->CreateQueue(options));
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(
-      std::make_unique<Queue>(this, std::move(endpoint), id,
-                              std::max(1u, options.queue_capacity)));
+  E2_ASSIGN_OR_RETURN(auto endpoint, inner_->CreateQueue(options));
+  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(
+      this, std::move(endpoint), std::max(1u, options.queue_capacity)));
 }
 
 }  // namespace e2lshos::storage

@@ -17,34 +17,34 @@
 //     any resident blocks are patched in place (no allocate-on-write, so
 //     index construction does not flood the cache). A global write epoch
 //     invalidates in-flight fills that raced the write.
-//   * Native MultiQueueDevice support: when the inner device offers
-//     queues, each cache queue owns one inner queue plus a private
-//     miss-tracking lane, preserving the zero-shared-lock property of
-//     per-shard serving (hits contend only on cache-shard locks, which
-//     are keyed by block address, not by queue).
+//   * Native queues: each cache queue owns one inner queue plus a
+//     private miss-tracking lane, preserving the zero-shared-lock
+//     property of per-shard serving (hits contend only on cache-shard
+//     locks, which are keyed by block address, not by queue).
 //
 // Transparency contract: with the cache in place, every read returns
 // bit-identical data and the same status codes as without it (alignment
 // violations are rejected up front exactly as the inner device would).
 // hits/misses/evictions/bytes_cached surface through DeviceStats.
 //
-// Stats semantics (the PR 6 aggregation rules): the parent's stats()
-// covers its own lane, all live queues, and the store's eviction/
-// residency gauges; per-queue ResetStats is queue-local, while
+// Stats semantics: the parent's stats() covers its own lane, every
+// queue (live or destroyed, storage/queue_registry.h), and the store's
+// eviction/residency gauges; per-queue ResetStats is queue-local, while
 // ResetStats on the parent resets its lane, every live queue, the
-// eviction counter, and the inner device — one full reset, never a
-// double-count. Cache *contents* survive ResetStats.
+// destroyed queues' totals, the eviction counter, and the inner device —
+// one full reset, never a double-count. Cache *contents* survive
+// ResetStats.
 #pragma once
 
 #include <memory>
 #include <mutex>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "storage/queue_registry.h"
 
 namespace e2lshos::storage {
 
-class CacheDevice : public BlockDevice, public MultiQueueDevice {
+class CacheDevice : public BlockDevice {
  public:
   struct Options {
     /// DRAM budget; rounded down to whole cache blocks. Must hold at
@@ -80,12 +80,8 @@ class CacheDevice : public BlockDevice, public MultiQueueDevice {
   DeviceStats stats() const override;
   void ResetStats() override;
 
-  /// Native queues iff the inner device has them; each cache queue pairs
-  /// a private lane with one inner queue.
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
+  /// One cache queue per inner queue, each with a private lane over the
+  /// shared store.
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -106,9 +102,9 @@ class CacheDevice : public BlockDevice, public MultiQueueDevice {
   BlockDevice* inner_;
   Options options_;
   std::unique_ptr<Store> store_;
+  /// Every lane's counters: the device lane and each queue's.
+  QueueRegistry<Lane> lanes_;
   std::unique_ptr<Lane> lane_;  ///< Device-level path over inner_.
-  /// Live native queues; parent stats()/outstanding() fold them in.
-  QueueRegistry queue_registry_;
 };
 
 }  // namespace e2lshos::storage

@@ -87,7 +87,7 @@ Result<std::unique_ptr<BlockDevice>> OpenFileBackend(
 //   sim:essd*8?iface=spdk        eSSD x 8 stripe behind the SPDK cost model
 //   file:/path/img?direct=1&threads=8   real file, pread thread pool
 //   uring:/path/img?direct=1&sqpoll=1   real file, io_uring backend
-//   uring:/path/img?queues=8&fixed=1    native per-shard rings + READ_FIXED
+//   uring:/path/img?fixed=1             per-shard rings + READ_FIXED
 //   sim:cssd?cache=64m                  DRAM read cache over any stack
 //   sim:cssd?fault=complete:0.01,stall:500&retry=3   chaos: faults + retry
 //
@@ -99,8 +99,8 @@ Result<std::unique_ptr<BlockDevice>> OpenFileBackend(
 /// \brief A parsed device URI. Field applicability by scheme:
 /// `sim_kind`/`sim_count`/`iface` for sim:, `path`/`direct_io` for
 /// file: and uring:, `io_threads` for file:, `sqpoll`/`fixed_buffers`
-/// for uring:, `queue_capacity`/`queues`/`capacity`/`cache_bytes` for
-/// all schemes.
+/// for uring:, `queue_capacity`/`capacity`/`cache_bytes` for all
+/// schemes.
 struct DeviceUri {
   enum class Scheme { kMem, kSim, kFile, kUring };
 
@@ -116,12 +116,6 @@ struct DeviceUri {
   uint32_t io_threads = 4;  ///< file: `threads=N` pread pool width.
   uint32_t queue_capacity = 0;  ///< `queue=N`; 0 = backend default.
   uint64_t capacity = 0;        ///< `capacity=SIZE`; 0 = caller decides.
-  /// `queues=N`: native-queue policy for sharded serving over this
-  /// device. kQueuesAuto (the default, not serialized) = native queues
-  /// whenever the device offers them; 0 = force the QueueRouter shim;
-  /// N >= 1 = native, but only up to N shards (beyond that, the router).
-  static constexpr uint32_t kQueuesAuto = 0xffffffffu;
-  uint32_t queues = kQueuesAuto;
   /// `fixed=1` (uring: only): engines register their I/O arenas at
   /// startup so reads go out as READ_FIXED (no per-I/O page pinning).
   bool fixed_buffers = false;

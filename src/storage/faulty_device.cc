@@ -1,8 +1,10 @@
 #include "storage/faulty_device.h"
 
 #include <chrono>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -40,6 +42,21 @@ class FaultyDevice::Lane {
  public:
   Lane(const Options& options, uint64_t rng_seed)
       : options_(options), rng_(rng_seed) {}
+
+  /// Submit `req` to `inner` through this lane's injection plane.
+  Status Submit(const IoRequest& req, BlockDevice* inner) {
+    uint64_t ticket = 0;
+    Status pre = BeforeSubmit(req, &ticket);
+    if (!pre.ok()) return pre;
+    Status st = inner->SubmitRead(req);
+    if (!st.ok() && ticket != 0) Rollback(req.user_data, ticket);
+    return st;
+  }
+
+  /// Harvest `inner` through this lane's injection plane.
+  size_t Poll(IoCompletion* out, size_t max, BlockDevice* inner) {
+    return Filter(out, inner->PollCompletions(out, max), max);
+  }
 
   /// Draw the injection decision for `req`. Returns the injected submit
   /// failure, or OK with `*ticket` != 0 when a pending completion-side
@@ -152,17 +169,17 @@ class FaultyDevice::Lane {
 
   /// Completions harvested from the inner device but still held for a
   /// stall — outstanding from the caller's point of view.
-  uint32_t HeldCount() const {
+  uint32_t outstanding() const {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<uint32_t>(held_.size());
   }
 
-  Counters counters() const {
+  Counters stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return counters_;
   }
 
-  void ResetCounters() {
+  void ResetStats() {
     std::lock_guard<std::mutex> lock(mu_);
     counters_ = Counters{};
   }
@@ -210,52 +227,40 @@ class FaultyDevice::Queue : public BlockDevice {
         uint64_t lane_seed)
       : parent_(parent),
         inner_(std::move(inner)),
-        lane_(parent->options_, lane_seed) {}
+        lane_(parent->options_, lane_seed) {
+    parent_->lanes_.Add(&lane_);
+  }
 
-  ~Queue() override { parent_->RetireQueue(this); }
+  ~Queue() override { parent_->lanes_.Remove(&lane_); }
 
   Status SubmitRead(const IoRequest& req) override {
-    uint64_t ticket = 0;
-    Status pre = lane_.BeforeSubmit(req, &ticket);
-    if (!pre.ok()) return pre;
-    Status st = inner_->SubmitRead(req);
-    if (!st.ok() && ticket != 0) lane_.Rollback(req.user_data, ticket);
-    return st;
+    return lane_.Submit(req, inner_.get());
   }
-
   size_t PollCompletions(IoCompletion* out, size_t max) override {
-    const size_t n = inner_->PollCompletions(out, max);
-    return lane_.Filter(out, n, max);
+    return lane_.Poll(out, max, inner_.get());
   }
-
   Status Write(uint64_t offset, const void* data, uint32_t length) override {
     return inner_->Write(offset, data, length);
   }
   uint64_t capacity() const override { return inner_->capacity(); }
   uint32_t io_alignment() const override { return inner_->io_alignment(); }
   uint32_t outstanding() const override {
-    return inner_->outstanding() + lane_.HeldCount();
+    return inner_->outstanding() + lane_.outstanding();
   }
   std::string name() const override { return inner_->name() + " (faulty)"; }
   DeviceStats stats() const override {
     DeviceStats s = inner_->stats();
-    const Counters c = lane_.counters();
-    s.faults_injected +=
-        c.submit_failures + c.completion_failures + c.corruptions + c.stalls;
+    lane_.stats().AddTo(&s);
     return s;
   }
   void ResetStats() override {
     inner_->ResetStats();
-    lane_.ResetCounters();
+    lane_.ResetStats();
   }
   Status RegisterBuffers(
       const std::vector<std::pair<void*, size_t>>& regions) override {
     return inner_->RegisterBuffers(regions);
   }
-
-  Counters lane_counters() const { return lane_.counters(); }
-  uint32_t lane_held() const { return lane_.HeldCount(); }
-  void ResetLaneCounters() { lane_.ResetCounters(); }
 
  private:
   FaultyDevice* parent_;
@@ -268,7 +273,9 @@ FaultyDevice::FaultyDevice(std::unique_ptr<BlockDevice> owned,
     : owned_(std::move(owned)),
       inner_(inner),
       options_(options),
-      lane_(new Lane(options, options.seed)) {}
+      lane_(new Lane(options, options.seed)) {
+  lanes_.Add(lane_.get());
+}
 
 FaultyDevice::FaultyDevice(BlockDevice* inner, const Options& options)
     : FaultyDevice(nullptr, inner, options) {}
@@ -286,17 +293,11 @@ Result<std::unique_ptr<FaultyDevice>> FaultyDevice::Create(
 FaultyDevice::~FaultyDevice() = default;
 
 Status FaultyDevice::SubmitRead(const IoRequest& req) {
-  uint64_t ticket = 0;
-  Status pre = lane_->BeforeSubmit(req, &ticket);
-  if (!pre.ok()) return pre;
-  Status st = inner_->SubmitRead(req);
-  if (!st.ok() && ticket != 0) lane_->Rollback(req.user_data, ticket);
-  return st;
+  return lane_->Submit(req, inner_);
 }
 
 size_t FaultyDevice::PollCompletions(IoCompletion* out, size_t max) {
-  const size_t n = inner_->PollCompletions(out, max);
-  return lane_->Filter(out, n, max);
+  return lane_->Poll(out, max, inner_);
 }
 
 Status FaultyDevice::Write(uint64_t offset, const void* data,
@@ -305,103 +306,43 @@ Status FaultyDevice::Write(uint64_t offset, const void* data,
 }
 
 uint32_t FaultyDevice::outstanding() const {
-  uint32_t held = lane_->HeldCount();
-  {
-    std::lock_guard<std::mutex> lock(queues_mu_);
-    for (const Queue* q : queues_) held += q->lane_held();
-  }
-  return inner_->outstanding() + held;
+  return inner_->outstanding() + lanes_.Outstanding();
 }
 
 DeviceStats FaultyDevice::stats() const {
   DeviceStats s = inner_->stats();
-  const Counters c = TotalCounters();
-  s.faults_injected +=
-      c.submit_failures + c.completion_failures + c.corruptions + c.stalls;
+  lanes_.Total().AddTo(&s);
   return s;
 }
 
 void FaultyDevice::ResetStats() {
   inner_->ResetStats();
-  lane_->ResetCounters();
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  for (Queue* q : queues_) q->ResetLaneCounters();
-  retired_ = Counters{};
-}
-
-uint32_t FaultyDevice::max_queues() const {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  return mq != nullptr ? mq->max_queues() : 0;
+  lanes_.Reset();
 }
 
 Result<std::unique_ptr<BlockDevice>> FaultyDevice::CreateQueue(
     const QueueOptions& options) {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  if (mq == nullptr) {
-    return Status::Unimplemented("inner device has no native queues");
-  }
-  auto inner_queue = mq->CreateQueue(options);
-  if (!inner_queue.ok()) return inner_queue.status();
-  uint64_t lane_seed;
-  {
-    std::lock_guard<std::mutex> lock(queues_mu_);
-    // Distinct RNG stream per lane for the transient faults; the
-    // deterministic corrupt predicate uses options_.seed unchanged, so
-    // lane assignment never changes *what* is corrupt.
-    lane_seed = options_.seed ^ (0xA24BAED4963EE407ULL * ++queue_seq_);
-  }
-  auto queue =
-      std::make_unique<Queue>(this, std::move(inner_queue).value(), lane_seed);
-  {
-    std::lock_guard<std::mutex> lock(queues_mu_);
-    queues_.push_back(queue.get());
-  }
-  return std::unique_ptr<BlockDevice>(std::move(queue));
-}
-
-void FaultyDevice::RetireQueue(Queue* queue) {
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  const Counters c = queue->lane_counters();
-  retired_.submit_failures += c.submit_failures;
-  retired_.completion_failures += c.completion_failures;
-  retired_.corruptions += c.corruptions;
-  retired_.stalls += c.stalls;
-  for (auto it = queues_.begin(); it != queues_.end(); ++it) {
-    if (*it == queue) {
-      queues_.erase(it);
-      break;
-    }
-  }
-}
-
-FaultyDevice::Counters FaultyDevice::TotalCounters() const {
-  Counters total = lane_->counters();
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  for (const Queue* q : queues_) {
-    const Counters c = q->lane_counters();
-    total.submit_failures += c.submit_failures;
-    total.completion_failures += c.completion_failures;
-    total.corruptions += c.corruptions;
-    total.stalls += c.stalls;
-  }
-  total.submit_failures += retired_.submit_failures;
-  total.completion_failures += retired_.completion_failures;
-  total.corruptions += retired_.corruptions;
-  total.stalls += retired_.stalls;
-  return total;
+  E2_ASSIGN_OR_RETURN(auto inner_queue, inner_->CreateQueue(options));
+  // Distinct RNG stream per lane for the transient faults; the
+  // deterministic corrupt predicate uses options_.seed unchanged, so
+  // lane assignment never changes *what* is corrupt.
+  const uint64_t lane_seed =
+      options_.seed ^ (0xA24BAED4963EE407ULL * ++queue_seq_);
+  return std::unique_ptr<BlockDevice>(
+      std::make_unique<Queue>(this, std::move(inner_queue), lane_seed));
 }
 
 uint64_t FaultyDevice::injected_submit_failures() const {
-  return TotalCounters().submit_failures;
+  return lanes_.Total().submit_failures;
 }
 uint64_t FaultyDevice::injected_completion_failures() const {
-  return TotalCounters().completion_failures;
+  return lanes_.Total().completion_failures;
 }
 uint64_t FaultyDevice::injected_corruptions() const {
-  return TotalCounters().corruptions;
+  return lanes_.Total().corruptions;
 }
 uint64_t FaultyDevice::injected_stalls() const {
-  return TotalCounters().stalls;
+  return lanes_.Total().stalls;
 }
 
 }  // namespace e2lshos::storage

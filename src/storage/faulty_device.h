@@ -35,17 +35,16 @@
 // never erase a newer entry for a recycled user_data.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "storage/queue_registry.h"
 
 namespace e2lshos::storage {
 
-class FaultyDevice : public BlockDevice, public MultiQueueDevice {
+class FaultyDevice : public BlockDevice {
  public:
   struct Options {
     double submit_fail_rate = 0.0;      ///< SubmitRead returns IoError.
@@ -81,12 +80,8 @@ class FaultyDevice : public BlockDevice, public MultiQueueDevice {
     return inner_->RegisterBuffers(regions);
   }
 
-  /// Native queues iff the inner device has them; each faulty queue
-  /// pairs a private injection lane with one inner queue.
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
+  /// One faulty queue per inner queue, each with a private injection
+  /// lane.
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -108,30 +103,36 @@ class FaultyDevice : public BlockDevice, public MultiQueueDevice {
  private:
   class Lane;   // per-endpoint injection state (faulty_device.cc)
   class Queue;  // Lane + one native inner queue
-  friend class Queue;
 
   FaultyDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
                const Options& options);
 
+  /// One lane's injection counters.
   struct Counters {
     uint64_t submit_failures = 0;
     uint64_t completion_failures = 0;
     uint64_t corruptions = 0;
     uint64_t stalls = 0;
+    Counters& operator+=(const Counters& o) {
+      submit_failures += o.submit_failures;
+      completion_failures += o.completion_failures;
+      corruptions += o.corruptions;
+      stalls += o.stalls;
+      return *this;
+    }
+    void AddTo(DeviceStats* s) const {
+      s->faults_injected +=
+          submit_failures + completion_failures + corruptions + stalls;
+    }
   };
-
-  void RetireQueue(Queue* queue);
-  /// Device lane + live queue lanes + retired queue lanes.
-  Counters TotalCounters() const;
 
   std::unique_ptr<BlockDevice> owned_;  ///< Null when borrowing.
   BlockDevice* inner_;
   Options options_;
+  /// Every lane's counters: the device lane and each queue's.
+  QueueRegistry<Lane, Counters> lanes_;
   std::unique_ptr<Lane> lane_;  ///< Device-level path over inner_.
-  mutable std::mutex queues_mu_;
-  std::vector<Queue*> queues_;  ///< Live native queues.
-  Counters retired_;            ///< Folded in when a queue dies.
-  uint64_t queue_seq_ = 0;      ///< Seeds each queue lane differently.
+  std::atomic<uint64_t> queue_seq_{0};  ///< Seeds each queue lane.
 };
 
 }  // namespace e2lshos::storage

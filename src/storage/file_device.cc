@@ -4,11 +4,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 
 #include "storage/io_align.h"
 #include "util/clock.h"
+#include "util/thread_pool.h"
 
 namespace e2lshos::storage {
 
@@ -16,15 +19,13 @@ FileDevice::FileDevice(std::string path, int fd, const Options& options)
     : path_(std::move(path)),
       fd_(fd),
       capacity_(options.capacity),
-      queue_capacity_(options.queue_capacity),
-      direct_io_(options.direct_io),
-      pool_(std::make_unique<util::ThreadPool>(options.io_threads)) {
+      direct_io_(options.direct_io) {
   if (direct_io_) align_ = EffectiveDioAlignment(ProbeDioAlignment(fd_));
 }
 
 FileDevice::~FileDevice() {
-  // Drain in-flight reads before closing the fd.
-  pool_->Shutdown();
+  // Drain queue 0's in-flight reads before closing the fd.
+  queue0_.reset();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -45,7 +46,7 @@ Result<std::unique_ptr<FileDevice>> FileDevice::Create(const std::string& path,
     ::close(fd);
     return Status::IoError("ftruncate failed: " + std::string(std::strerror(errno)));
   }
-  return std::unique_ptr<FileDevice>(new FileDevice(path, fd, options));
+  return Make(path, fd, options);
 }
 
 Result<std::unique_ptr<FileDevice>> FileDevice::Open(const std::string& path,
@@ -65,7 +66,7 @@ Result<std::unique_ptr<FileDevice>> FileDevice::Open(const std::string& path,
   }
   Options opened = options;
   opened.capacity = static_cast<uint64_t>(size);
-  return std::unique_ptr<FileDevice>(new FileDevice(path, fd, opened));
+  return Make(path, fd, opened);
 }
 
 Status FileDevice::ValidateRead(const IoRequest& req) const {
@@ -88,7 +89,7 @@ Status FileDevice::ValidateRead(const IoRequest& req) const {
 }
 
 /// Read `r`'s full extent with pread, zero-filling past the written
-/// extent; shared by the device pool and the per-queue pools.
+/// extent.
 static StatusCode PreadFully(int fd, const IoRequest& r) {
   size_t done = 0;
   while (done < r.length) {
@@ -112,24 +113,25 @@ static StatusCode PreadFully(int fd, const IoRequest& r) {
 /// completion deque, and counters, over the parent's shared fd.
 class FileDevice::Queue : public BlockDevice {
  public:
-  Queue(FileDevice* parent, uint32_t id, const QueueOptions& options)
+  Queue(FileDevice* parent, const QueueOptions& options)
       : parent_(parent),
-        id_(id),
         queue_capacity_(std::max(1u, options.queue_capacity)),
         pool_(std::make_unique<util::ThreadPool>(
             std::max(1u, options.io_threads))) {
-    parent_->queue_registry_.Add(this);
+    id_ = parent_->queues_.Add(this);  // last: the parent may read us now
   }
 
   ~Queue() override {
     // Drain this queue's in-flight reads before the completion deque and
     // the parent registry entry go away.
     pool_->Shutdown();
-    parent_->queue_registry_.Remove(this);
+    parent_->queues_.Remove(this);
   }
 
   Status SubmitRead(const IoRequest& req) override {
     E2_RETURN_NOT_OK(parent_->ValidateRead(req));
+    // Reserve the queue slot atomically: a load-then-add would let
+    // concurrent submitters overshoot the queue capacity.
     if (inflight_.fetch_add(1, std::memory_order_relaxed) >= queue_capacity_) {
       inflight_.fetch_sub(1, std::memory_order_relaxed);
       return Status::ResourceExhausted("queue full");
@@ -187,8 +189,8 @@ class FileDevice::Queue : public BlockDevice {
 
  private:
   FileDevice* parent_;
-  uint32_t id_;
   uint32_t queue_capacity_;
+  uint32_t id_ = 0;
   std::unique_ptr<util::ThreadPool> pool_;
   std::atomic<uint32_t> inflight_{0};
   mutable std::mutex mu_;
@@ -196,53 +198,27 @@ class FileDevice::Queue : public BlockDevice {
   DeviceStats stats_;
 };
 
+std::unique_ptr<FileDevice> FileDevice::Make(std::string path, int fd,
+                                             const Options& options) {
+  std::unique_ptr<FileDevice> dev(new FileDevice(std::move(path), fd, options));
+  QueueOptions q0;
+  q0.queue_capacity = options.queue_capacity;
+  q0.io_threads = options.io_threads;
+  dev->queue0_ = std::make_unique<Queue>(dev.get(), q0);
+  return dev;
+}
+
 Result<std::unique_ptr<BlockDevice>> FileDevice::CreateQueue(
     const QueueOptions& options) {
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(
-      std::make_unique<Queue>(this, id, options));
+  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(this, options));
 }
 
 Status FileDevice::SubmitRead(const IoRequest& req) {
-  E2_RETURN_NOT_OK(ValidateRead(req));
-  // Reserve the queue slot atomically: a load-then-add would let
-  // concurrent submitters (engine shards sharing one file) overshoot the
-  // queue capacity.
-  if (inflight_.fetch_add(1, std::memory_order_relaxed) >= queue_capacity_) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted("device queue full");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reads_submitted;
-  }
-  const uint64_t submit_ns = util::NowNs();
-  const IoRequest r = req;
-  pool_->Submit([this, r, submit_ns] {
-    IoCompletion comp;
-    comp.user_data = r.user_data;
-    comp.code = PreadFully(fd_, r);
-    comp.latency_ns = util::NowNs() - submit_ns;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      completed_.push_back(comp);
-      ++stats_.reads_completed;
-      stats_.bytes_read += r.length;
-      stats_.read_latency.Add(comp.latency_ns);
-    }
-  });
-  return Status::OK();
+  return queue0_->SubmitRead(req);
 }
 
 size_t FileDevice::PollCompletions(IoCompletion* out, size_t max) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  while (n < max && !completed_.empty()) {
-    out[n++] = completed_.front();
-    completed_.pop_front();
-  }
-  inflight_.fetch_sub(static_cast<uint32_t>(n), std::memory_order_relaxed);
-  return n;
+  return queue0_->PollCompletions(out, max);
 }
 
 Status FileDevice::Write(uint64_t offset, const void* data, uint32_t length) {
@@ -267,27 +243,24 @@ Status FileDevice::Write(uint64_t offset, const void* data, uint32_t length) {
     }
     done += static_cast<size_t>(put);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.bytes_written += length;
+  std::lock_guard<std::mutex> lock(write_mu_);
+  bytes_written_ += length;
   return Status::OK();
 }
 
+uint32_t FileDevice::outstanding() const { return queues_.Outstanding(); }
+
 DeviceStats FileDevice::stats() const {
-  DeviceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  queue_registry_.MergeStats(&out);
+  DeviceStats out = queues_.Total();
+  std::lock_guard<std::mutex> lock(write_mu_);
+  out.bytes_written += bytes_written_;
   return out;
 }
 
 void FileDevice::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats{};
-  }
-  queue_registry_.ResetAll();
+  queues_.Reset();
+  std::lock_guard<std::mutex> lock(write_mu_);
+  bytes_written_ = 0;
 }
 
 }  // namespace e2lshos::storage

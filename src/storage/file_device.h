@@ -4,23 +4,20 @@
 // against an actual SSD without SPDK: it issues genuine preads.
 #pragma once
 
-#include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
-#include "util/thread_pool.h"
+#include "storage/queue_registry.h"
 
 namespace e2lshos::storage {
 
-class FileDevice : public BlockDevice, public MultiQueueDevice {
+class FileDevice : public BlockDevice {
  public:
   struct Options {
     uint64_t capacity = 0;     ///< File is sized to this on creation.
-    uint32_t io_threads = 4;   ///< Worker threads servicing preads.
+    uint32_t io_threads = 4;   ///< Device-level path's pread threads.
     uint32_t queue_capacity = 1024;
     bool direct_io = false;    ///< O_DIRECT (requires 512-B aligned bufs).
   };
@@ -37,6 +34,7 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
 
   ~FileDevice() override;
 
+  /// The device-level path is queue 0 (io_threads wide).
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
   Status Write(uint64_t offset, const void* data, uint32_t length) override;
@@ -44,10 +42,7 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
   /// Direct mode reports the device-advertised alignment probed at open
   /// (statx STATX_DIOALIGN / BLKSSZGET), so 4Kn drives are honored.
   uint32_t io_alignment() const override { return direct_io_ ? align_ : 1; }
-  uint32_t outstanding() const override {
-    return inflight_.load(std::memory_order_relaxed) +
-           queue_registry_.SumOutstanding();
-  }
+  uint32_t outstanding() const override;
   std::string name() const override { return "file:" + path_; }
   DeviceStats stats() const override;
   void ResetStats() override;
@@ -56,8 +51,6 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
   /// completion ring over the shared fd (pread carries its own offset,
   /// so fd sharing is race-free). One queue's submit/poll never touches
   /// another queue's pool, lock, or completions.
-  MultiQueueDevice* multi_queue() override { return this; }
-  uint32_t max_queues() const override { return 255; }
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -65,6 +58,9 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
   class Queue;  // defined in file_device.cc
 
   FileDevice(std::string path, int fd, const Options& options);
+  /// Construct and open queue 0.
+  static std::unique_ptr<FileDevice> Make(std::string path, int fd,
+                                          const Options& options);
 
   /// Shared request validation (bounds + direct-I/O alignment).
   Status ValidateRead(const IoRequest& req) const;
@@ -72,15 +68,12 @@ class FileDevice : public BlockDevice, public MultiQueueDevice {
   std::string path_;
   int fd_;
   uint64_t capacity_;
-  uint32_t queue_capacity_;
   bool direct_io_;
   uint32_t align_ = kSectorBytes;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::atomic<uint32_t> inflight_{0};
-  mutable std::mutex mu_;
-  std::deque<IoCompletion> completed_;
-  DeviceStats stats_;
-  QueueRegistry queue_registry_;
+  mutable std::mutex write_mu_;
+  uint64_t bytes_written_ = 0;  ///< Guarded by write_mu_.
+  QueueRegistry<Queue> queues_;
+  std::unique_ptr<Queue> queue0_;
 };
 
 }  // namespace e2lshos::storage

@@ -31,7 +31,7 @@ Status ChargedDevice::SubmitRead(const IoRequest& req) {
   // The CPU cost is paid whether or not the submission succeeds: a full
   // queue is discovered only after talking to the device.
   util::BusySpinNs(spec_.submit_overhead_ns);
-  io_cpu_ns_.fetch_add(spec_.submit_overhead_ns, std::memory_order_relaxed);
+  charge_.Add(spec_.submit_overhead_ns);
   return inner_->SubmitRead(req);
 }
 
@@ -39,26 +39,28 @@ size_t ChargedDevice::PollCompletions(IoCompletion* out, size_t max) {
   const size_t n = inner_->PollCompletions(out, max);
   if (n > 0 && spec_.poll_overhead_ns > 0) {
     util::BusySpinNs(spec_.poll_overhead_ns * n);
-    io_cpu_ns_.fetch_add(spec_.poll_overhead_ns * n, std::memory_order_relaxed);
+    charge_.Add(spec_.poll_overhead_ns * n);
   }
   return n;
 }
 
-uint32_t ChargedDevice::max_queues() const {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  return mq != nullptr ? mq->max_queues() : 0;
+ChargedDevice::~ChargedDevice() {
+  if (parent_ != nullptr) parent_->queues_.Remove(&charge_);
+}
+
+void ChargedDevice::ResetStats() {
+  inner_->ResetStats();
+  charge_.ResetStats();
+  queues_.Reset();
 }
 
 Result<std::unique_ptr<BlockDevice>> ChargedDevice::CreateQueue(
     const QueueOptions& options) {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  if (mq == nullptr) {
-    return Status::FailedPrecondition(
-        "inner device " + inner_->name() + " has no native queues");
-  }
-  E2_ASSIGN_OR_RETURN(auto queue, mq->CreateQueue(options));
-  return std::unique_ptr<BlockDevice>(
-      std::make_unique<ChargedDevice>(std::move(queue), spec_));
+  E2_ASSIGN_OR_RETURN(auto inner_queue, inner_->CreateQueue(options));
+  auto queue = std::make_unique<ChargedDevice>(std::move(inner_queue), spec_);
+  queue->parent_ = this;
+  queues_.Add(&queue->charge_);
+  return std::unique_ptr<BlockDevice>(std::move(queue));
 }
 
 }  // namespace e2lshos::storage

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "storage/queue_registry.h"
 
 namespace e2lshos::storage {
 
@@ -49,12 +49,13 @@ std::vector<std::pair<InterfaceKind, std::string>> AllInterfaceKinds();
 /// Does not own the underlying device by default (the same physical
 /// device can back multiple logical views); pass owned=true to take
 /// ownership.
-class ChargedDevice : public BlockDevice, public MultiQueueDevice {
+class ChargedDevice : public BlockDevice {
  public:
   ChargedDevice(BlockDevice* inner, InterfaceSpec spec)
       : inner_(inner), spec_(std::move(spec)) {}
   ChargedDevice(std::unique_ptr<BlockDevice> inner, InterfaceSpec spec)
       : inner_(inner.get()), owned_(std::move(inner)), spec_(std::move(spec)) {}
+  ~ChargedDevice() override;
 
   Status SubmitRead(const IoRequest& req) override;
   size_t PollCompletions(IoCompletion* out, size_t max) override;
@@ -68,10 +69,7 @@ class ChargedDevice : public BlockDevice, public MultiQueueDevice {
     return inner_->name() + " via " + spec_.name;
   }
   DeviceStats stats() const override { return inner_->stats(); }
-  void ResetStats() override {
-    inner_->ResetStats();
-    io_cpu_ns_ = 0;
-  }
+  void ResetStats() override;
 
   Status RegisterBuffers(
       const std::vector<std::pair<void*, size_t>>& regions) override {
@@ -79,12 +77,8 @@ class ChargedDevice : public BlockDevice, public MultiQueueDevice {
   }
 
   /// Native queues pass through: each inner queue is wrapped in an owning
-  /// ChargedDevice with the same spec, so the per-core CPU charge is
-  /// identical on the native and routed paths.
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
+  /// ChargedDevice with the same spec, so every shard pays the per-core
+  /// CPU charge on its own core. Its charges count in io_cpu_ns() here.
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -92,15 +86,26 @@ class ChargedDevice : public BlockDevice, public MultiQueueDevice {
   BlockDevice* inner() { return inner_; }
 
   /// Total CPU time charged for I/O submission/harvest since last reset
-  /// (the "I/O cost" bar of Fig. 12).
-  uint64_t io_cpu_ns() const { return io_cpu_ns_.load(std::memory_order_relaxed); }
+  /// (the "I/O cost" bar of Fig. 12), this device's queues included.
+  uint64_t io_cpu_ns() const { return charge_.stats() + queues_.Total(); }
 
  private:
+  /// The charge one endpoint accumulated, as a queue-registry lane.
+  /// Atomic: one charged view may be driven from several threads.
+  struct Charge {
+    std::atomic<uint64_t> ns{0};
+    void Add(uint64_t n) { ns.fetch_add(n, std::memory_order_relaxed); }
+    uint64_t stats() const { return ns.load(std::memory_order_relaxed); }
+    uint32_t outstanding() const { return 0; }
+    void ResetStats() { ns.store(0, std::memory_order_relaxed); }
+  };
+
   BlockDevice* inner_;
   std::unique_ptr<BlockDevice> owned_;
   InterfaceSpec spec_;
-  /// Atomic: one charged view may be driven from several threads.
-  std::atomic<uint64_t> io_cpu_ns_{0};
+  Charge charge_;
+  QueueRegistry<Charge, uint64_t> queues_;
+  ChargedDevice* parent_ = nullptr;  ///< Set on queues.
 };
 
 }  // namespace e2lshos::storage

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 
 namespace e2lshos::storage {
 
@@ -12,11 +13,11 @@ namespace e2lshos::storage {
 /// against stats() readers and is never contended on the hot path.
 class MemoryDevice::Queue : public BlockDevice {
  public:
-  Queue(MemoryDevice* parent, uint32_t id, uint32_t queue_capacity)
-      : parent_(parent), id_(id), queue_capacity_(queue_capacity) {
-    parent_->queue_registry_.Add(this);
+  Queue(MemoryDevice* parent, uint32_t queue_capacity)
+      : parent_(parent), queue_capacity_(queue_capacity) {
+    id_ = parent_->queues_.Add(this);  // last: the parent may read us now
   }
-  ~Queue() override { parent_->queue_registry_.Remove(this); }
+  ~Queue() override { parent_->queues_.Remove(this); }
 
   Status SubmitRead(const IoRequest& req) override {
     if (req.buf == nullptr || req.length == 0) {
@@ -74,96 +75,60 @@ class MemoryDevice::Queue : public BlockDevice {
 
  private:
   MemoryDevice* parent_;
-  uint32_t id_;
   uint32_t queue_capacity_;
+  uint32_t id_ = 0;
   mutable std::mutex mu_;
   std::deque<IoCompletion> completed_;
   DeviceStats stats_;
 };
 
-Result<std::unique_ptr<BlockDevice>> MemoryDevice::CreateQueue(
-    const QueueOptions& options) {
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(
-      this, id, std::max(1u, options.queue_capacity)));
-}
-
 Result<std::unique_ptr<MemoryDevice>> MemoryDevice::Create(uint64_t capacity,
                                                            uint32_t queue_capacity) {
-  auto dev = std::unique_ptr<MemoryDevice>(new MemoryDevice(queue_capacity));
+  auto dev = std::unique_ptr<MemoryDevice>(new MemoryDevice());
   E2_RETURN_NOT_OK(dev->backing_.Map(capacity));
+  dev->queue0_ = std::make_unique<Queue>(dev.get(), std::max(1u, queue_capacity));
   return dev;
 }
 
+MemoryDevice::~MemoryDevice() = default;
+
+Result<std::unique_ptr<BlockDevice>> MemoryDevice::CreateQueue(
+    const QueueOptions& options) {
+  return std::unique_ptr<BlockDevice>(
+      std::make_unique<Queue>(this, std::max(1u, options.queue_capacity)));
+}
+
 Status MemoryDevice::SubmitRead(const IoRequest& req) {
-  if (req.buf == nullptr || req.length == 0) {
-    return Status::InvalidArgument("null buffer or zero length");
-  }
-  if (!RangeInCapacity(req.offset, req.length, backing_.capacity())) {
-    return Status::OutOfRange("read beyond device capacity");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (completed_.size() >= queue_capacity_) {
-    return Status::ResourceExhausted("completion queue full");
-  }
-  std::memcpy(req.buf, backing_.data() + req.offset, req.length);
-  IoCompletion comp;
-  comp.user_data = req.user_data;
-  comp.code = StatusCode::kOk;
-  comp.latency_ns = 0;
-  completed_.push_back(comp);
-  ++stats_.reads_submitted;
-  ++stats_.reads_completed;
-  stats_.bytes_read += req.length;
-  stats_.read_latency.Add(0);
-  return Status::OK();
+  return queue0_->SubmitRead(req);
 }
 
 size_t MemoryDevice::PollCompletions(IoCompletion* out, size_t max) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  while (n < max && !completed_.empty()) {
-    out[n++] = completed_.front();
-    completed_.pop_front();
-  }
-  return n;
+  return queue0_->PollCompletions(out, max);
 }
 
 Status MemoryDevice::Write(uint64_t offset, const void* data, uint32_t length) {
   if (!RangeInCapacity(offset, length, backing_.capacity())) {
     return Status::OutOfRange("write beyond device capacity");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   std::memcpy(backing_.data() + offset, data, length);
-  stats_.bytes_written += length;
+  bytes_written_ += length;
   return Status::OK();
 }
 
-uint32_t MemoryDevice::outstanding() const {
-  uint32_t own;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    own = static_cast<uint32_t>(completed_.size());
-  }
-  return own + queue_registry_.SumOutstanding();
-}
+uint32_t MemoryDevice::outstanding() const { return queues_.Outstanding(); }
 
 DeviceStats MemoryDevice::stats() const {
-  DeviceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  queue_registry_.MergeStats(&out);
+  DeviceStats out = queues_.Total();
+  std::lock_guard<std::mutex> lock(write_mu_);
+  out.bytes_written += bytes_written_;
   return out;
 }
 
 void MemoryDevice::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats{};
-  }
-  queue_registry_.ResetAll();
+  queues_.Reset();
+  std::lock_guard<std::mutex> lock(write_mu_);
+  bytes_written_ = 0;
 }
 
 }  // namespace e2lshos::storage

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -106,17 +108,19 @@ class RetryDevice::Lane {
     return kept;
   }
 
-  uint32_t Parked() const {
+  /// Requests parked for a retry or a failed resubmit: outstanding from
+  /// the caller's point of view.
+  uint32_t outstanding() const {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<uint32_t>(deferred_.size() + ready_.size());
   }
 
-  Counters counters() const {
+  Counters stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return counters_;
   }
 
-  void ResetCounters() {
+  void ResetStats() {
     std::lock_guard<std::mutex> lock(mu_);
     counters_ = Counters{};
   }
@@ -222,9 +226,11 @@ class RetryDevice::Queue : public BlockDevice {
         uint64_t lane_seed)
       : parent_(parent),
         inner_(std::move(inner)),
-        lane_(parent->options_, lane_seed) {}
+        lane_(parent->options_, lane_seed) {
+    parent_->lanes_.Add(&lane_);
+  }
 
-  ~Queue() override { parent_->RetireQueue(this); }
+  ~Queue() override { parent_->lanes_.Remove(&lane_); }
 
   Status SubmitRead(const IoRequest& req) override {
     return lane_.Submit(req, inner_.get());
@@ -238,28 +244,22 @@ class RetryDevice::Queue : public BlockDevice {
   uint64_t capacity() const override { return inner_->capacity(); }
   uint32_t io_alignment() const override { return inner_->io_alignment(); }
   uint32_t outstanding() const override {
-    return inner_->outstanding() + lane_.Parked();
+    return inner_->outstanding() + lane_.outstanding();
   }
   std::string name() const override { return inner_->name() + " (retry)"; }
   DeviceStats stats() const override {
     DeviceStats s = inner_->stats();
-    const Counters c = lane_.counters();
-    s.retries += c.retries;
-    s.retries_exhausted += c.exhausted;
+    lane_.stats().AddTo(&s);
     return s;
   }
   void ResetStats() override {
     inner_->ResetStats();
-    lane_.ResetCounters();
+    lane_.ResetStats();
   }
   Status RegisterBuffers(
       const std::vector<std::pair<void*, size_t>>& regions) override {
     return inner_->RegisterBuffers(regions);
   }
-
-  Counters lane_counters() const { return lane_.counters(); }
-  uint32_t lane_parked() const { return lane_.Parked(); }
-  void ResetLaneCounters() { lane_.ResetCounters(); }
 
  private:
   RetryDevice* parent_;
@@ -272,7 +272,9 @@ RetryDevice::RetryDevice(std::unique_ptr<BlockDevice> owned,
     : owned_(std::move(owned)),
       inner_(inner),
       options_(options),
-      lane_(new Lane(options, options.seed)) {}
+      lane_(new Lane(options, options.seed)) {
+  lanes_.Add(lane_.get());
+}
 
 RetryDevice::RetryDevice(BlockDevice* inner, const Options& options)
     : RetryDevice(nullptr, inner, options) {}
@@ -305,86 +307,33 @@ Status RetryDevice::Write(uint64_t offset, const void* data, uint32_t length) {
 }
 
 uint32_t RetryDevice::outstanding() const {
-  uint32_t parked = lane_->Parked();
-  {
-    std::lock_guard<std::mutex> lock(queues_mu_);
-    for (const Queue* q : queues_) parked += q->lane_parked();
-  }
-  return inner_->outstanding() + parked;
+  return inner_->outstanding() + lanes_.Outstanding();
 }
 
 DeviceStats RetryDevice::stats() const {
   DeviceStats s = inner_->stats();
-  const Counters c = TotalCounters();
-  s.retries += c.retries;
-  s.retries_exhausted += c.exhausted;
+  lanes_.Total().AddTo(&s);
   return s;
 }
 
 void RetryDevice::ResetStats() {
   inner_->ResetStats();
-  lane_->ResetCounters();
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  for (Queue* q : queues_) q->ResetLaneCounters();
-  retired_ = Counters{};
-}
-
-uint32_t RetryDevice::max_queues() const {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  return mq != nullptr ? mq->max_queues() : 0;
+  lanes_.Reset();
 }
 
 Result<std::unique_ptr<BlockDevice>> RetryDevice::CreateQueue(
     const QueueOptions& options) {
-  MultiQueueDevice* mq = inner_->multi_queue();
-  if (mq == nullptr) {
-    return Status::Unimplemented("inner device has no native queues");
-  }
-  auto inner_queue = mq->CreateQueue(options);
-  if (!inner_queue.ok()) return inner_queue.status();
-  uint64_t lane_seed;
-  {
-    std::lock_guard<std::mutex> lock(queues_mu_);
-    lane_seed = options_.seed ^ (0xD1B54A32D192ED03ULL * ++queue_seq_);
-  }
-  auto queue =
-      std::make_unique<Queue>(this, std::move(inner_queue).value(), lane_seed);
-  {
-    std::lock_guard<std::mutex> lock(queues_mu_);
-    queues_.push_back(queue.get());
-  }
-  return std::unique_ptr<BlockDevice>(std::move(queue));
+  E2_ASSIGN_OR_RETURN(auto inner_queue, inner_->CreateQueue(options));
+  // A distinct jitter stream per lane.
+  const uint64_t lane_seed =
+      options_.seed ^ (0xD1B54A32D192ED03ULL * ++queue_seq_);
+  return std::unique_ptr<BlockDevice>(
+      std::make_unique<Queue>(this, std::move(inner_queue), lane_seed));
 }
 
-void RetryDevice::RetireQueue(Queue* queue) {
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  const Counters c = queue->lane_counters();
-  retired_.retries += c.retries;
-  retired_.exhausted += c.exhausted;
-  for (auto it = queues_.begin(); it != queues_.end(); ++it) {
-    if (*it == queue) {
-      queues_.erase(it);
-      break;
-    }
-  }
-}
-
-RetryDevice::Counters RetryDevice::TotalCounters() const {
-  Counters total = lane_->counters();
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  for (const Queue* q : queues_) {
-    const Counters c = q->lane_counters();
-    total.retries += c.retries;
-    total.exhausted += c.exhausted;
-  }
-  total.retries += retired_.retries;
-  total.exhausted += retired_.exhausted;
-  return total;
-}
-
-uint64_t RetryDevice::retries() const { return TotalCounters().retries; }
+uint64_t RetryDevice::retries() const { return lanes_.Total().retries; }
 uint64_t RetryDevice::retries_exhausted() const {
-  return TotalCounters().exhausted;
+  return lanes_.Total().exhausted;
 }
 
 }  // namespace e2lshos::storage

@@ -30,17 +30,16 @@
 // serving.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "storage/queue_registry.h"
 
 namespace e2lshos::storage {
 
-class RetryDevice : public BlockDevice, public MultiQueueDevice {
+class RetryDevice : public BlockDevice {
  public:
   struct Options {
     /// Total attempts per read, the first included. 1 = no retries.
@@ -78,10 +77,7 @@ class RetryDevice : public BlockDevice, public MultiQueueDevice {
     return inner_->RegisterBuffers(regions);
   }
 
-  MultiQueueDevice* multi_queue() override {
-    return inner_->multi_queue() != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override;
+  /// One retry queue per inner queue, each with a private lane.
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -89,34 +85,39 @@ class RetryDevice : public BlockDevice, public MultiQueueDevice {
   BlockDevice* inner() { return inner_; }
 
   /// Aggregate retry counters (device lane + queue lanes, live and
-  /// retired). Also surfaced in DeviceStats.
+  /// destroyed). Also surfaced in DeviceStats.
   uint64_t retries() const;
   uint64_t retries_exhausted() const;
 
  private:
   class Lane;   // per-endpoint retry state (retry_device.cc)
   class Queue;  // Lane + one native inner queue
-  friend class Queue;
+
+  /// One lane's counters (the retry layer's share of DeviceStats).
+  struct Counters {
+    uint64_t retries = 0;
+    uint64_t exhausted = 0;
+    Counters& operator+=(const Counters& o) {
+      retries += o.retries;
+      exhausted += o.exhausted;
+      return *this;
+    }
+    void AddTo(DeviceStats* s) const {
+      s->retries += retries;
+      s->retries_exhausted += exhausted;
+    }
+  };
 
   RetryDevice(std::unique_ptr<BlockDevice> owned, BlockDevice* inner,
               const Options& options);
 
-  struct Counters {
-    uint64_t retries = 0;
-    uint64_t exhausted = 0;
-  };
-
-  void RetireQueue(Queue* queue);
-  Counters TotalCounters() const;
-
   std::unique_ptr<BlockDevice> owned_;  ///< Null when borrowing.
   BlockDevice* inner_;
   Options options_;
+  /// Every lane's counters: the device lane and each queue's.
+  QueueRegistry<Lane, Counters> lanes_;
   std::unique_ptr<Lane> lane_;  ///< Device-level path over inner_.
-  mutable std::mutex queues_mu_;
-  std::vector<Queue*> queues_;
-  Counters retired_;
-  uint64_t queue_seq_ = 0;
+  std::atomic<uint64_t> queue_seq_{0};  ///< Seeds each queue lane.
 };
 
 }  // namespace e2lshos::storage

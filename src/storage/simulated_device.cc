@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <queue>
 
 #include "util/clock.h"
 
@@ -13,11 +14,11 @@ namespace e2lshos::storage {
 /// hardware contention point); everything else is queue-private.
 class SimulatedDevice::Queue : public BlockDevice {
  public:
-  Queue(SimulatedDevice* parent, uint32_t id, uint32_t queue_capacity)
-      : parent_(parent), id_(id), queue_capacity_(queue_capacity) {
-    parent_->queue_registry_.Add(this);
+  Queue(SimulatedDevice* parent, uint32_t queue_capacity)
+      : parent_(parent), queue_capacity_(queue_capacity) {
+    id_ = parent_->queues_.Add(this);  // last: the parent may read us now
   }
-  ~Queue() override { parent_->queue_registry_.Remove(this); }
+  ~Queue() override { parent_->queues_.Remove(this); }
 
   Status SubmitRead(const IoRequest& req) override {
     if (req.buf == nullptr || req.length == 0) {
@@ -49,6 +50,7 @@ class SimulatedDevice::Queue : public BlockDevice {
     size_t n = 0;
     while (n < max && !pending_.empty() && pending_.top().complete_at_ns <= now) {
       const Pending& p = pending_.top();
+      // Data transfer happens at completion time.
       std::memcpy(p.buf, parent_->backing_.data() + p.offset, p.length);
       out[n].user_data = p.user_data;
       out[n].code = StatusCode::kOk;
@@ -83,9 +85,19 @@ class SimulatedDevice::Queue : public BlockDevice {
   }
 
  private:
+  struct Pending {
+    uint64_t complete_at_ns;
+    uint64_t submit_ns;
+    uint64_t user_data;
+    uint64_t offset;
+    uint32_t length;
+    void* buf;
+    bool operator>(const Pending& o) const { return complete_at_ns > o.complete_at_ns; }
+  };
+
   SimulatedDevice* parent_;
-  uint32_t id_;
   uint32_t queue_capacity_;
+  uint32_t id_ = 0;
   mutable std::mutex mu_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> pending_;
   DeviceStats stats_;
@@ -105,15 +117,16 @@ uint64_t SimulatedDevice::ScheduleOnUnit(uint64_t now_ns) {
 
 Result<std::unique_ptr<BlockDevice>> SimulatedDevice::CreateQueue(
     const QueueOptions& options) {
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  return std::unique_ptr<BlockDevice>(std::make_unique<Queue>(
-      this, id, std::max(1u, options.queue_capacity)));
+  return std::unique_ptr<BlockDevice>(
+      std::make_unique<Queue>(this, std::max(1u, options.queue_capacity)));
 }
 
 SimulatedDevice::SimulatedDevice(const DeviceModel& model) : model_(model) {
   unit_free_ns_.assign(model_.parallel_units, 0);
   stats_epoch_ns_ = util::NowNs();
 }
+
+SimulatedDevice::~SimulatedDevice() = default;
 
 Result<std::unique_ptr<SimulatedDevice>> SimulatedDevice::Create(
     const DeviceModel& model) {
@@ -122,59 +135,17 @@ Result<std::unique_ptr<SimulatedDevice>> SimulatedDevice::Create(
   }
   auto dev = std::unique_ptr<SimulatedDevice>(new SimulatedDevice(model));
   E2_RETURN_NOT_OK(dev->backing_.Map(model.capacity_bytes));
+  dev->queue0_ =
+      std::make_unique<Queue>(dev.get(), std::max(1u, model.queue_capacity));
   return dev;
 }
 
 Status SimulatedDevice::SubmitRead(const IoRequest& req) {
-  if (req.buf == nullptr || req.length == 0) {
-    return Status::InvalidArgument("null buffer or zero length");
-  }
-  if (!RangeInCapacity(req.offset, req.length, backing_.capacity())) {
-    return Status::OutOfRange("read beyond device capacity");
-  }
-  const uint64_t now = util::NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.size() >= model_.queue_capacity) {
-    return Status::ResourceExhausted("device queue full");
-  }
-  // Dispatch to the earliest-free flash unit.
-  auto it = std::min_element(unit_free_ns_.begin(), unit_free_ns_.end());
-  const uint64_t start = std::max(now, *it);
-  const uint64_t done = start + model_.service_time_ns;
-  *it = done;
-
-  Pending p;
-  p.complete_at_ns = done;
-  p.submit_ns = now;
-  p.user_data = req.user_data;
-  p.offset = req.offset;
-  p.length = req.length;
-  p.buf = req.buf;
-  pending_.push(p);
-
-  ++stats_.reads_submitted;
-  stats_.busy_ns += model_.service_time_ns;
-  return Status::OK();
+  return queue0_->SubmitRead(req);
 }
 
 size_t SimulatedDevice::PollCompletions(IoCompletion* out, size_t max) {
-  const uint64_t now = util::NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  while (n < max && !pending_.empty() && pending_.top().complete_at_ns <= now) {
-    const Pending& p = pending_.top();
-    // Data transfer happens at completion time.
-    std::memcpy(p.buf, backing_.data() + p.offset, p.length);
-    out[n].user_data = p.user_data;
-    out[n].code = StatusCode::kOk;
-    out[n].latency_ns = p.complete_at_ns - p.submit_ns;
-    ++stats_.reads_completed;
-    stats_.bytes_read += p.length;
-    stats_.read_latency.Add(out[n].latency_ns);
-    pending_.pop();
-    ++n;
-  }
-  return n;
+  return queue0_->PollCompletions(out, max);
 }
 
 Status SimulatedDevice::Write(uint64_t offset, const void* data, uint32_t length) {
@@ -187,32 +158,20 @@ Status SimulatedDevice::Write(uint64_t offset, const void* data, uint32_t length
   return Status::OK();
 }
 
-uint32_t SimulatedDevice::outstanding() const {
-  uint32_t own;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    own = static_cast<uint32_t>(pending_.size());
-  }
-  return own + queue_registry_.SumOutstanding();
-}
+uint32_t SimulatedDevice::outstanding() const { return queues_.Outstanding(); }
 
 DeviceStats SimulatedDevice::stats() const {
-  DeviceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  queue_registry_.MergeStats(&out);
+  DeviceStats out = queues_.Total();
+  std::lock_guard<std::mutex> lock(mu_);
+  out += stats_;
   return out;
 }
 
 void SimulatedDevice::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats{};
-    stats_epoch_ns_ = util::NowNs();
-  }
-  queue_registry_.ResetAll();
+  queues_.Reset();
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = DeviceStats{};
+  stats_epoch_ns_ = util::NowNs();
 }
 
 double SimulatedDevice::Utilization() const {

@@ -132,10 +132,13 @@ class StripedDevice::Queue : public BlockDevice {
     for (const auto& q : child_queues_) total += q->outstanding();
     return total;
   }
-  std::string name() const override { return parent_->name() + " nq"; }
+  std::string name() const override {
+    return child_queues_[0]->name() + " x " +
+           std::to_string(child_queues_.size());
+  }
   DeviceStats stats() const override {
     DeviceStats merged;
-    for (const auto& q : child_queues_) MergeDeviceStats(&merged, q->stats());
+    for (const auto& q : child_queues_) merged += q->stats();
     return merged;
   }
   void ResetStats() override {
@@ -158,34 +161,12 @@ class StripedDevice::Queue : public BlockDevice {
   uint64_t poll_cursor_ = 0;
 };
 
-MultiQueueDevice* StripedDevice::multi_queue() {
-  for (auto& c : children_) {
-    if (c->multi_queue() == nullptr) return nullptr;
-  }
-  return this;
-}
-
-uint32_t StripedDevice::max_queues() const {
-  uint32_t m = 255;
-  for (const auto& c : children_) {
-    MultiQueueDevice* mq = c->multi_queue();
-    if (mq == nullptr) return 0;
-    m = std::min(m, mq->max_queues());
-  }
-  return m;
-}
-
 Result<std::unique_ptr<BlockDevice>> StripedDevice::CreateQueue(
     const QueueOptions& options) {
   std::vector<std::unique_ptr<BlockDevice>> child_queues;
   child_queues.reserve(children_.size());
   for (auto& c : children_) {
-    MultiQueueDevice* mq = c->multi_queue();
-    if (mq == nullptr) {
-      return Status::FailedPrecondition(
-          "child device " + c->name() + " has no native queues");
-    }
-    E2_ASSIGN_OR_RETURN(auto q, mq->CreateQueue(options));
+    E2_ASSIGN_OR_RETURN(auto q, c->CreateQueue(options));
     child_queues.push_back(std::move(q));
   }
   return std::unique_ptr<BlockDevice>(
@@ -204,15 +185,7 @@ std::string StripedDevice::name() const {
 
 DeviceStats StripedDevice::stats() const {
   DeviceStats merged;
-  for (const auto& c : children_) {
-    const DeviceStats s = c->stats();
-    merged.reads_submitted += s.reads_submitted;
-    merged.reads_completed += s.reads_completed;
-    merged.bytes_read += s.bytes_read;
-    merged.bytes_written += s.bytes_written;
-    merged.busy_ns += s.busy_ns;
-    merged.read_latency.Merge(s.read_latency);
-  }
+  for (const auto& c : children_) merged += c->stats();
   return merged;
 }
 

@@ -12,11 +12,10 @@
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
 
 namespace e2lshos::storage {
 
-class StripedDevice : public BlockDevice, public MultiQueueDevice {
+class StripedDevice : public BlockDevice {
  public:
   /// Construct from >= 1 child devices. Capacity is
   /// min(child capacity) * children, striped at 512 B.
@@ -41,11 +40,9 @@ class StripedDevice : public BlockDevice, public MultiQueueDevice {
 
   /// Native queues by composition: a stripe queue bundles one native
   /// queue per child, so a shard submitting through it reaches every
-  /// drive's private ring without crossing another shard's queues.
-  /// Available only when EVERY child is multi-queue capable (all-native
-  /// or nothing — AcquireQueues falls back to the router otherwise).
-  MultiQueueDevice* multi_queue() override;
-  uint32_t max_queues() const override;
+  /// drive's private ring without crossing another shard's queues. Each
+  /// child counts its own queue's traffic, so stats() stays the sum of
+  /// the children. Fails if any child cannot create a queue.
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -62,8 +59,8 @@ class StripedDevice : public BlockDevice, public MultiQueueDevice {
   std::vector<std::unique_ptr<BlockDevice>> children_;
   uint64_t capacity_ = 0;
   uint32_t io_alignment_ = 1;
-  /// Concurrent pollers (e.g. a QueueRouter serving several engine
-  /// shards) each advance the round-robin start without locking.
+  /// Concurrent pollers of the device-level path each advance the
+  /// round-robin start without locking.
   std::atomic<uint64_t> poll_cursor_{0};
 };
 

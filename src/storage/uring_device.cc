@@ -119,9 +119,6 @@ UringDevice::UringDevice(std::string path, int fd, const Options& options)
 }
 
 UringDevice::~UringDevice() {
-  // Detach from the parent first so its stats()/outstanding() aggregation
-  // can no longer reach a half-destroyed queue.
-  if (parent_ != nullptr) parent_->queue_registry_.Remove(this);
   // The kernel writes completions into caller buffers: tearing the ring
   // down with reads in flight would let those writes land after the
   // buffers are freed. Block until everything completed.
@@ -136,6 +133,9 @@ UringDevice::~UringDevice() {
       }
     }
   }
+  // A queue folds its final counters into its parent only now, so the
+  // reads drained above still count.
+  if (parent_ != nullptr) parent_->queues_.Remove(this);
   ring_.reset();
   if (fd_ >= 0) ::close(fd_);
 }
@@ -682,12 +682,10 @@ Result<std::unique_ptr<BlockDevice>> UringDevice::CreateQueue(
   opt.direct_io = direct_io_;
   opt.sqpoll = sqpoll_requested_;
   opt.sqpoll_idle_ms = sqpoll_idle_ms_;
-  const uint32_t id = static_cast<uint32_t>(queue_registry_.size());
-  std::unique_ptr<UringDevice> queue(
-      new UringDevice(path_ + " nq" + std::to_string(id), qfd, opt));
+  std::unique_ptr<UringDevice> queue(new UringDevice(path_, qfd, opt));
   E2_RETURN_NOT_OK(queue->InitRing(opt));  // failure: dtor closes qfd
   queue->parent_ = this;
-  queue_registry_.Add(queue.get());
+  queue->path_ += " nq" + std::to_string(queues_.Add(queue.get()));
   return std::unique_ptr<BlockDevice>(std::move(queue));
 }
 
@@ -698,21 +696,16 @@ std::string UringDevice::name() const {
 }
 
 DeviceStats UringDevice::stats() const {
-  DeviceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  queue_registry_.MergeStats(&out);
+  DeviceStats out = queues_.Total();
+  std::lock_guard<std::mutex> lock(mu_);
+  out += stats_;
   return out;
 }
 
 void UringDevice::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats{};
-  }
-  queue_registry_.ResetAll();
+  queues_.Reset();
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = DeviceStats{};
 }
 
 #else  // !E2LSHOS_HAVE_LIBURING

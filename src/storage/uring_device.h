@@ -38,11 +38,11 @@
 #include <vector>
 
 #include "storage/block_device.h"
-#include "storage/multi_queue.h"
+#include "storage/queue_registry.h"
 
 namespace e2lshos::storage {
 
-class UringDevice : public BlockDevice, public MultiQueueDevice {
+class UringDevice : public BlockDevice {
  public:
   struct Options {
     uint64_t capacity = 0;       ///< File is sized to this on creation.
@@ -90,8 +90,7 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
   uint64_t capacity() const override { return capacity_; }
   uint32_t io_alignment() const override { return direct_io_ ? align_ : 1; }
   uint32_t outstanding() const override {
-    return inflight_.load(std::memory_order_relaxed) +
-           queue_registry_.SumOutstanding();
+    return inflight_.load(std::memory_order_relaxed) + queues_.Outstanding();
   }
   std::string name() const override;
   DeviceStats stats() const override;
@@ -109,10 +108,6 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
   /// fd. A queue registers its own fd and its own fixed buffers, so the
   /// per-shard submit/poll path shares no lock, no ring, and no kernel
   /// object with other queues. Inherits direct_io/sqpoll from the parent.
-  MultiQueueDevice* multi_queue() override {
-    return ring_ != nullptr ? this : nullptr;
-  }
-  uint32_t max_queues() const override { return ring_ != nullptr ? 255 : 0; }
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 
@@ -177,7 +172,7 @@ class UringDevice : public BlockDevice, public MultiQueueDevice {
   /// Set on queue devices: the device that created them (for registry
   /// removal at destruction).
   UringDevice* parent_ = nullptr;
-  QueueRegistry queue_registry_;
+  QueueRegistry<UringDevice> queues_;
 
   std::unique_ptr<Ring> ring_;
   std::atomic<uint32_t> inflight_{0};

@@ -7,7 +7,10 @@
 // across device URIs (mem:, sim:cssd, file:) and shard counts (1, 4).
 // The candidate cap is set high enough that draining never triggers, so
 // results are deterministic and the comparison is exact.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -21,6 +24,7 @@
 #include "data/generators.h"
 #include "storage/device_registry.h"
 #include "storage/memory_device.h"
+#include "storage/uring_device.h"
 
 namespace e2lshos {
 namespace {
@@ -45,9 +49,7 @@ TEST(DeviceUri, ParsesEverySchemeAndRoundTrips) {
       "file:/tmp/img.bin?direct=1&threads=8",
       "file:relative/path?queue=64",
       "uring:/tmp/img.bin?direct=1&sqpoll=1",
-      "mem:?queues=4",
-      "sim:cssd*4?queues=0",
-      "uring:/tmp/img.bin?queues=8&fixed=1",
+      "uring:/tmp/img.bin?fixed=1",
   };
   for (const char* uri : uris) {
     auto parsed = ParseDeviceUri(uri);
@@ -81,17 +83,11 @@ TEST(DeviceUri, ParsedFieldsMatch) {
   EXPECT_EQ(uring->scheme, DeviceUri::Scheme::kUring);
   EXPECT_TRUE(uring->sqpoll);
   EXPECT_FALSE(uring->direct_io);
-  // Native-queue knobs: default is auto (not serialized), 0 forces the
-  // router, N caps native; fixed=1 is uring-only.
-  EXPECT_EQ(uring->queues, DeviceUri::kQueuesAuto);
+  // fixed=1 is uring-only.
   EXPECT_FALSE(uring->fixed_buffers);
-  auto queued = ParseDeviceUri("uring:/a/b?queues=8&fixed=1");
-  ASSERT_TRUE(queued.ok());
-  EXPECT_EQ(queued->queues, 8u);
-  EXPECT_TRUE(queued->fixed_buffers);
-  auto routed = ParseDeviceUri("mem:?queues=0");
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed->queues, 0u);
+  auto fixed = ParseDeviceUri("uring:/a/b?fixed=1");
+  ASSERT_TRUE(fixed.ok());
+  EXPECT_TRUE(fixed->fixed_buffers);
 }
 
 TEST(DeviceUri, RejectsMalformedUris) {
@@ -120,8 +116,7 @@ TEST(DeviceUri, RejectsMalformedUris) {
       "file:/p?direct",            // key without value
       "mem:?capacity=",            // empty value
       "file:/p?fixed=1",           // fixed is uring-only
-      "mem:?queues=256",           // above the 255 native-queue cap
-      "mem:?queues=-1",            // negative
+      "mem:?queues=4",             // no queue policy: every shard is native
   };
   for (const char* uri : bad) {
     auto parsed = ParseDeviceUri(uri);
@@ -339,6 +334,69 @@ TEST(ApiIndex, SingleQuerySearchMatchesBatch) {
   }
 }
 
+// Reshaping the engine destroys its shard queues; the device counters
+// must keep their traffic (only ResetStats lowers them).
+TEST(ApiIndex, DeviceCountersSurviveReshard) {
+  auto t = MakeData(1500);
+  IndexSpec spec;
+  spec.lsh = t.cfg;
+  spec.device_uri = "mem:";
+  auto idx = Index::Build(spec, t.gen.base);
+  ASSERT_TRUE(idx.ok());
+  SearchSpec search;
+  search.shards = 2;
+  ASSERT_TRUE((*idx)->Configure(search).ok());
+  ASSERT_TRUE((*idx)->SearchBatch(t.gen.queries, 5).ok());
+  const uint64_t reads = (*idx)->device_stats().reads_completed;
+  EXPECT_GT(reads, 0u);
+  search.shards = 3;
+  ASSERT_TRUE((*idx)->Configure(search).ok());
+  EXPECT_EQ((*idx)->device_stats().reads_completed, reads);
+  ASSERT_TRUE((*idx)->SearchBatch(t.gen.queries, 5).ok());
+  EXPECT_EQ((*idx)->device_stats().reads_completed, 2 * reads);
+}
+
+// A device that cannot create a shard's queue fails the query with its
+// Status: no silent fallback, no crash. A uring: queue dups the backing
+// fd, so an exhausted descriptor table makes CreateQueue fail for real.
+TEST(ApiIndex, ShardQueueCreationFailureIsReturned) {
+  if (!storage::UringDevice::Available()) {
+    GTEST_SKIP() << "io_uring unavailable on this host";
+  }
+  auto t = MakeData(600);
+  const std::string img = ::testing::TempDir() + "/e2_api_noqueue.bin";
+  IndexSpec spec;
+  spec.lsh = t.cfg;
+  spec.device_uri = "uring:" + img;
+  spec.device_capacity = 64 << 20;
+  auto idx = Index::Build(spec, t.gen.base);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  SearchSpec search;
+  search.shards = 2;
+  ASSERT_TRUE((*idx)->Configure(search).ok());
+
+  // Cap descriptors at the lowest free fd: every new fd fails (EMFILE).
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  auto failed = (*idx)->SearchBatch(t.gen.queries, 5);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+      << failed.status().ToString();
+
+  // With descriptors back, the same index serves on 2 shards.
+  auto served = (*idx)->SearchBatch(t.gen.queries, 5);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ((*idx)->num_shards(), 2u);
+  idx->reset();
+  std::remove(img.c_str());
+}
+
 TEST(ApiIndex, CandidateCapFactorRetunesWithoutRebuild) {
   auto t = MakeData(1500);
   IndexSpec spec;
@@ -374,8 +432,8 @@ TEST(ApiIndex, ServeDeliversEveryQueryAndGuardsTheEngine) {
   auto server = (*idx)->Serve(serve);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  // The engine is single-owner while serving — and so is the device:
-  // Save's image dump would steal the shard routers' completions.
+  // The engine is single-owner while serving, and Save is refused under
+  // the same rule.
   EXPECT_EQ((*idx)->SearchBatch(t.gen.queries, 5).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ((*idx)->Serve(serve).status().code(),

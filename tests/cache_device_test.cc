@@ -30,7 +30,6 @@
 #include "storage/cache_device.h"
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
-#include "storage/multi_queue.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -212,7 +211,6 @@ TEST(CacheResetStats, ParentResetIsOneFullReset) {
   copt.capacity_bytes = 8 * kSectorBytes;
   auto cache = CacheDevice::Wrap(mem->get(), copt);
   ASSERT_TRUE(cache.ok());
-  ASSERT_NE((*cache)->multi_queue(), nullptr);
   auto q0 = (*cache)->CreateQueue({});
   auto q1 = (*cache)->CreateQueue({});
   ASSERT_TRUE(q0.ok());
@@ -386,12 +384,12 @@ void RunCacheParity(BlockDevice* dev, const ParityFixture& fx,
     opts.num_shards = shards;
     opts.total_contexts = 8 * shards;
     opts.total_inflight_ios = 64 * shards;
-    // Force the queue layer even at 1 shard (the degenerate direct path
-    // would bypass it and prove nothing).
-    opts.wrap_shard_device =
-        [](std::unique_ptr<storage::BlockDevice> q) { return q; };
+    // 1 shard reads through the device-level lane, 4 through queues.
 
-    core::ShardedQueryEngine bare_engine(idx->get(), &fx.gen.base, opts);
+    auto bare_engine_or =
+        core::ShardedQueryEngine::Create(idx->get(), &fx.gen.base, opts);
+    ASSERT_TRUE(bare_engine_or.ok()) << bare_engine_or.status().message();
+    core::ShardedQueryEngine& bare_engine = **bare_engine_or;
     auto bare = bare_engine.SearchBatch(fx.gen.queries, 5);
     ASSERT_TRUE(bare.ok()) << what;
 
@@ -399,20 +397,22 @@ void RunCacheParity(BlockDevice* dev, const ParityFixture& fx,
         std::string(what) + " shards=" + std::to_string(shards);
     // Cold pass fills the cache; the warm pass answers mostly from DRAM.
     // Both must be bit-identical to the bare device.
-    core::ShardedQueryEngine cold_engine(cached_view.get(), &fx.gen.base,
-                                         opts);
+    auto cold_engine_or =
+        core::ShardedQueryEngine::Create(cached_view.get(), &fx.gen.base, opts);
+    ASSERT_TRUE(cold_engine_or.ok()) << cold_engine_or.status().message();
+    core::ShardedQueryEngine& cold_engine = **cold_engine_or;
     auto cold = cold_engine.SearchBatch(fx.gen.queries, 5);
     ASSERT_TRUE(cold.ok()) << what;
     ExpectBatchesIdentical(*bare, *cold, tag + " cold");
 
-    core::ShardedQueryEngine warm_engine(cached_view.get(), &fx.gen.base,
-                                         opts);
+    auto warm_engine_or =
+        core::ShardedQueryEngine::Create(cached_view.get(), &fx.gen.base, opts);
+    ASSERT_TRUE(warm_engine_or.ok()) << warm_engine_or.status().message();
+    core::ShardedQueryEngine& warm_engine = **warm_engine_or;
     auto warm = warm_engine.SearchBatch(fx.gen.queries, 5);
     ASSERT_TRUE(warm.ok()) << what;
     ExpectBatchesIdentical(*bare, *warm, tag + " warm");
 
-    // Sampled while the warm engine's queues are live: per-queue lane
-    // stats leave the parent aggregate when their queue is destroyed.
     EXPECT_GT((*cache)->stats().cache_hits, 0u) << tag;
   }
 }
@@ -477,7 +477,10 @@ TEST(CacheParity, EvictionPressureKeepsAnswersIdentical) {
   opts.num_shards = 2;
   opts.total_contexts = 16;
   opts.total_inflight_ios = 128;
-  core::ShardedQueryEngine bare_engine(idx->get(), &fx.gen.base, opts);
+  auto bare_engine_or =
+      core::ShardedQueryEngine::Create(idx->get(), &fx.gen.base, opts);
+  ASSERT_TRUE(bare_engine_or.ok()) << bare_engine_or.status().message();
+  core::ShardedQueryEngine& bare_engine = **bare_engine_or;
   auto bare = bare_engine.SearchBatch(fx.gen.queries, 5);
   ASSERT_TRUE(bare.ok());
 
@@ -489,8 +492,10 @@ TEST(CacheParity, EvictionPressureKeepsAnswersIdentical) {
   auto cache = CacheDevice::Wrap(dev->get(), copt);
   ASSERT_TRUE(cache.ok());
   auto cached_view = (*idx)->WithDevice(cache->get());
-  core::ShardedQueryEngine cached_engine(cached_view.get(), &fx.gen.base,
-                                         opts);
+  auto cached_engine_or =
+      core::ShardedQueryEngine::Create(cached_view.get(), &fx.gen.base, opts);
+  ASSERT_TRUE(cached_engine_or.ok()) << cached_engine_or.status().message();
+  core::ShardedQueryEngine& cached_engine = **cached_engine_or;
   auto cached = cached_engine.SearchBatch(fx.gen.queries, 5);
   ASSERT_TRUE(cached.ok());
   ExpectBatchesIdentical(*bare, *cached, "eviction-pressure");
@@ -522,8 +527,12 @@ TEST(CacheHammer, QueuesAndWriterUnderTsan) {
 
   constexpr uint32_t kQueues = 4;
   constexpr int kReadsPerQueue = 500;
-  QueueSet qs = AcquireQueues(cache->get(), kQueues);
-  ASSERT_TRUE(qs.native);
+  std::vector<std::unique_ptr<BlockDevice>> queues;
+  for (uint32_t t = 0; t < kQueues; ++t) {
+    auto queue = cache->get()->CreateQueue({});
+    ASSERT_TRUE(queue.ok());
+    queues.push_back(std::move(queue).value());
+  }
 
   std::atomic<int> failures{0};
   std::atomic<bool> stop{false};
@@ -547,7 +556,7 @@ TEST(CacheHammer, QueuesAndWriterUnderTsan) {
   threads.reserve(kQueues);
   for (uint32_t t = 0; t < kQueues; ++t) {
     threads.emplace_back([&, t] {
-      BlockDevice* q = qs.queues[t].get();
+      BlockDevice* q = queues[t].get();
       util::AlignedBuffer buf(kSectorBytes, kSectorBytes);
       IoCompletion comp;
       for (int r = 0; r < kReadsPerQueue; ++r) {

@@ -13,7 +13,6 @@
 
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
-#include "storage/queue_router.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -212,18 +211,21 @@ TEST(DeviceConcurrency, StripedDeviceConcurrentPollers) {
   HammerSharedDevice(striped->get());
 }
 
-TEST(DeviceConcurrency, QueueRouterIsolationUnderConcurrency) {
-  // Each thread drives its own routed queue over one shared simulated
+TEST(DeviceConcurrency, NativeQueueIsolationUnderConcurrency) {
+  // Each thread drives its own native queue over one shared simulated
   // device; a queue must receive exactly its own completions even while
   // all queues submit and poll concurrently.
-  DeviceModel model{"router-ssd", 8, 500, 4096, 1 << 20};
+  DeviceModel model{"queue-ssd", 8, 500, 4096, 1 << 20};
   auto dev = SimulatedDevice::Create(model);
   ASSERT_TRUE(dev.ok());
   WritePattern(dev->get());
 
-  QueueRouter router(dev->get());
   std::vector<std::unique_ptr<BlockDevice>> queues;
-  for (uint32_t t = 0; t < kThreads; ++t) queues.push_back(router.CreateQueue());
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    auto queue = dev->get()->CreateQueue({});
+    ASSERT_TRUE(queue.ok());
+    queues.push_back(std::move(queue).value());
+  }
 
   std::atomic<uint32_t> foreign{0};
   auto worker = [&](uint32_t tid) {

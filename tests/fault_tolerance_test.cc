@@ -377,7 +377,9 @@ TEST(ShardedFaultParity, IdenticalAccountingAcrossBackendsAndShards) {
     for (const uint32_t shards : {1u, 4u}) {
       ShardOptions sopt;
       sopt.num_shards = shards;
-      ShardedQueryEngine engine(view.get(), &gen.base, sopt);
+      auto engine_or = ShardedQueryEngine::Create(view.get(), &gen.base, sopt);
+      ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+      ShardedQueryEngine& engine = **engine_or;
       auto got = engine.SearchBatch(gen.queries, 10);
       ASSERT_TRUE(got.ok()) << uri << " shards=" << shards;
       for (uint64_t q = 0; q < gen.queries.n(); ++q) {

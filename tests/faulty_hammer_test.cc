@@ -90,7 +90,6 @@ TEST(FaultyHammer, ScrambleNeverTouchesHarvestedBuffers) {
   std::atomic<uint64_t> completed{0};
   std::vector<std::thread> threads;
   std::vector<std::unique_ptr<BlockDevice>> queues;
-  ASSERT_NE(faulty.multi_queue(), nullptr);
   for (uint32_t t = 0; t < kThreads; ++t) {
     auto q = faulty.CreateQueue({});
     ASSERT_TRUE(q.ok());
@@ -127,9 +126,8 @@ TEST(FaultyHammer, UriStackSurvivesConcurrentQueues) {
   constexpr uint64_t kRounds = 2000;
   std::atomic<uint64_t> completed{0};
   std::vector<std::unique_ptr<BlockDevice>> queues;
-  ASSERT_NE((*dev)->multi_queue(), nullptr);
   for (uint32_t t = 0; t < kThreads; ++t) {
-    auto q = (*dev)->multi_queue()->CreateQueue({});
+    auto q = (*dev)->CreateQueue({});
     ASSERT_TRUE(q.ok());
     queues.push_back(std::move(q.value()));
   }

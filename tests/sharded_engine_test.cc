@@ -82,7 +82,10 @@ TEST(ShardedQueryEngine, MatchesSingleEngineAcrossShardCountsAndK) {
     for (const uint32_t shards : {1u, 2u, 4u, 7u}) {
       ShardOptions opts;
       opts.num_shards = shards;
-      ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+      auto engine_or =
+          ShardedQueryEngine::Create(f->index.get(), &f->gen.base, opts);
+      ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+      ShardedQueryEngine& engine = **engine_or;
       ASSERT_EQ(engine.num_shards(), shards);
       auto got = engine.SearchBatch(f->gen.queries, k);
       ASSERT_TRUE(got.ok()) << "shards=" << shards << " k=" << k;
@@ -102,7 +105,10 @@ TEST(ShardedQueryEngine, BatchSmallerThanShardCount) {
 
   ShardOptions opts;
   opts.num_shards = 7;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, opts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto got = engine.SearchBatch(small, 10);
   ASSERT_TRUE(got.ok());
   ExpectBatchesEqual(*got, *ref);
@@ -113,7 +119,10 @@ TEST(ShardedQueryEngine, EmptyBatch) {
   data::Dataset empty("empty", f->gen.queries.dim());
   ShardOptions opts;
   opts.num_shards = 4;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, opts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto got = engine.SearchBatch(empty, 10);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->results.empty());
@@ -122,9 +131,55 @@ TEST(ShardedQueryEngine, EmptyBatch) {
   EXPECT_EQ(got->MeanIos(), 0.0);
 }
 
+// Forwards reads to the fixture device but cannot create queues.
+class NoQueueDevice : public storage::BlockDevice {
+ public:
+  explicit NoQueueDevice(storage::BlockDevice* inner) : inner_(inner) {}
+  Status SubmitRead(const storage::IoRequest& req) override {
+    return inner_->SubmitRead(req);
+  }
+  size_t PollCompletions(storage::IoCompletion* out, size_t max) override {
+    return inner_->PollCompletions(out, max);
+  }
+  Status Write(uint64_t offset, const void* data, uint32_t length) override {
+    return inner_->Write(offset, data, length);
+  }
+  uint64_t capacity() const override { return inner_->capacity(); }
+  uint32_t outstanding() const override { return inner_->outstanding(); }
+  std::string name() const override { return "no-queue"; }
+  storage::DeviceStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+  Result<std::unique_ptr<storage::BlockDevice>> CreateQueue(
+      const storage::QueueOptions&) override {
+    return Status::ResourceExhausted("no queue pairs left");
+  }
+
+ private:
+  storage::BlockDevice* inner_;
+};
+
+TEST(ShardedQueryEngine, CreateReturnsQueueCreationFailure) {
+  Fixture* f = GetFixture();
+  NoQueueDevice dev(f->dev.get());
+  auto view = f->index->WithDevice(&dev);
+  ShardOptions opts;
+  opts.num_shards = 2;
+  auto failed = ShardedQueryEngine::Create(view.get(), &f->gen.base, opts);
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(failed.status().message(), "no queue pairs left");
+
+  // One shard needs no queue: it runs straight on the device.
+  opts.num_shards = 1;
+  auto direct = ShardedQueryEngine::Create(view.get(), &f->gen.base, opts);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE((*direct)->SearchBatch(f->gen.queries, 5).ok());
+}
+
 TEST(ShardedQueryEngine, RejectsBadArguments) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  auto engine_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   EXPECT_EQ(engine.SearchBatch(f->gen.queries, 0).status().code(),
             StatusCode::kInvalidArgument);
   data::Dataset wrong_dim("wrong", f->gen.queries.dim() + 1);
@@ -140,7 +195,10 @@ TEST(ShardedQueryEngine, DerivesPerShardBudgetsFromGlobalCaps) {
   opts.num_shards = 4;
   opts.total_contexts = 32;
   opts.total_inflight_ios = 256;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, opts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   EXPECT_EQ(engine.shard_engine_options().num_contexts, 8u);
   EXPECT_EQ(engine.shard_engine_options().max_inflight_ios, 64u);
 
@@ -149,7 +207,9 @@ TEST(ShardedQueryEngine, DerivesPerShardBudgetsFromGlobalCaps) {
   opts.num_shards = 7;
   opts.total_contexts = 4;
   opts.total_inflight_ios = 4;
-  ShardedQueryEngine tiny(f->index.get(), &f->gen.base, opts);
+  auto tiny_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, opts);
+  ASSERT_TRUE(tiny_or.ok()) << tiny_or.status().message();
+  ShardedQueryEngine& tiny = **tiny_or;
   EXPECT_EQ(tiny.num_shards(), 4u);
   EXPECT_EQ(tiny.shard_engine_options().num_contexts, 1u);
   EXPECT_EQ(tiny.shard_engine_options().max_inflight_ios, 1u);
@@ -219,7 +279,10 @@ TEST(ShardedQueryEngine, MergedStatsSatisfyInvariants) {
   Fixture* f = GetFixture();
   ShardOptions opts;
   opts.num_shards = 4;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, opts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, opts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto batch = engine.SearchBatch(f->gen.queries, 10);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->stats.size(), f->gen.queries.n());

@@ -63,7 +63,10 @@ TEST(StreamingServer, MatchesOneShotBatchAcrossShardsAndBatchSizes) {
   for (const uint32_t shards : {1u, 2u, 4u}) {
     ShardOptions sopts;
     sopts.num_shards = shards;
-    ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+    auto engine_or =
+        ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+    ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+    ShardedQueryEngine& engine = **engine_or;
     auto ref = engine.SearchBatch(f->gen.queries, k);
     ASSERT_TRUE(ref.ok());
 
@@ -94,7 +97,9 @@ TEST(StreamingServer, MatchesOneShotBatchAcrossShardsAndBatchSizes) {
 
 TEST(StreamingServer, NeighborsSortedWithinEachQuery) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  auto engine_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   Collector collector;
   ServerOptions opts;
   opts.k = 10;
@@ -117,7 +122,10 @@ TEST(StreamingServer, MaxWaitFlushesPartialBatch) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 2;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   Collector collector;
   ServerOptions opts;
@@ -151,7 +159,9 @@ TEST(StreamingServer, MaxWaitFlushesPartialBatch) {
 
 TEST(StreamingServer, PollableFutureHandles) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  auto engine_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto ref = engine.SearchBatch(f->gen.queries, 10);
   ASSERT_TRUE(ref.ok());
 
@@ -187,7 +197,10 @@ TEST(StreamingServer, CleanShutdownWithQueriesInFlight) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 4;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto ref = engine.SearchBatch(f->gen.queries, 10);
   ASSERT_TRUE(ref.ok());
 
@@ -222,7 +235,9 @@ TEST(StreamingServer, CleanShutdownWithQueriesInFlight) {
 
 TEST(StreamingServer, EmptyStreamAndZeroQueries) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  auto engine_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   // Empty materialized dataset: serve returns with nothing delivered.
   data::Dataset empty("empty", f->gen.queries.dim());
@@ -254,7 +269,10 @@ TEST(StreamingServer, BoundedGeneratorStreamDrains) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 2;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   data::GeneratorSpec spec;
   spec.kind = data::GeneratorKind::kClustered;
@@ -290,7 +308,9 @@ TEST(StreamingServer, BoundedGeneratorStreamDrains) {
 
 TEST(StreamingServer, RejectsBadConfigurations) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  auto engine_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   DatasetStream stream(&f->gen.queries);
 
   ServerOptions zero_k;
@@ -316,7 +336,9 @@ TEST(StreamingServer, RejectsBadConfigurations) {
 
 TEST(StreamingServer, RestartReportsOnlyTheCurrentRun) {
   Fixture* f = GetFixture();
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, {});
+  auto engine_or = ShardedQueryEngine::Create(f->index.get(), &f->gen.base, {});
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   ServerOptions opts;
   opts.k = 5;
   StreamingServer server(&engine, opts);
@@ -440,7 +462,10 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
   const uint32_t k = 5;
   ShardOptions sopts;
   sopts.num_shards = 2;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   // Age a backlog in the queue before the server starts: every one of
   // these has waited far past the deadline by the time a worker pulls
@@ -498,11 +523,47 @@ TEST(StreamingServer, DeadlineShedsStaleQueriesAndCountsRejected) {
   }
 }
 
+TEST(StreamingServer, ShedsPartialBacklogWhileIdle) {
+  // Fewer stale queries than max_batch_size and nothing queued behind
+  // them: the rejections must still be delivered while the stream sits
+  // idle, not held until the next arrival (a waiter on them would hang).
+  Fixture* f = GetFixture();
+  ShardOptions sopts;
+  sopts.num_shards = 1;
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  const uint64_t kStale = 3;
+  SubmissionQueue queue(f->gen.base.dim(), 16);
+  for (uint64_t i = 0; i < kStale; ++i) {
+    ASSERT_TRUE(queue.Submit(f->gen.queries.Row(i)).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  ServerOptions opts;
+  opts.k = 5;
+  opts.max_batch_size = 4;
+  opts.deadline_us = 20000;
+  StreamingServer server(engine_or->get(), opts);
+  ASSERT_TRUE(server.Start(&queue).ok());
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().rejected < kStale &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().rejected, kStale);
+  queue.Close();
+  server.Wait();
+}
+
 TEST(StreamingServer, NoDeadlineMeansNoShedding) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 1;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   // Same aged backlog, but deadline_us = 0: everything is served.
   SubmissionQueue queue(f->gen.base.dim(), 64);
@@ -534,7 +595,10 @@ TEST(SubmissionQueue, WedgedProducersWakeWhenConsumerDies) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 1;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   Collector collector;
   ServerOptions opts;
@@ -589,7 +653,10 @@ TEST(StreamingServer, StatsSnapshotsCoherentWhileServing) {
   Fixture* f = GetFixture();
   ShardOptions sopts;
   sopts.num_shards = 4;
-  ShardedQueryEngine engine(f->index.get(), &f->gen.base, sopts);
+  auto engine_or =
+      ShardedQueryEngine::Create(f->index.get(), &f->gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   ServerOptions opts;
   opts.k = 5;

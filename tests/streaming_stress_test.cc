@@ -54,7 +54,9 @@ TEST(StreamingStress, MultiProducersOverSharedFileDevice) {
 
   ShardOptions sopts;
   sopts.num_shards = 4;
-  ShardedQueryEngine engine(index->get(), &gen.base, sopts);
+  auto engine_or = ShardedQueryEngine::Create(index->get(), &gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto ref = engine.SearchBatch(gen.queries, 10);
   ASSERT_TRUE(ref.ok());
 
@@ -129,7 +131,9 @@ TEST(StreamingStress, StreamsOverStripedFileDevices) {
 
   ShardOptions sopts;
   sopts.num_shards = 2;
-  ShardedQueryEngine engine(index->get(), &gen.base, sopts);
+  auto engine_or = ShardedQueryEngine::Create(index->get(), &gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
   auto ref = engine.SearchBatch(gen.queries, 10);
   ASSERT_TRUE(ref.ok());
 
@@ -191,7 +195,9 @@ TEST(StreamingStress, FaultyDeviceDeliversPerQueryErrorsWithoutWedging) {
 
   ShardOptions sopts;
   sopts.num_shards = 2;
-  ShardedQueryEngine engine(view.get(), &gen.base, sopts);
+  auto engine_or = ShardedQueryEngine::Create(view.get(), &gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   Collector collector;
   ServerOptions opts;
@@ -254,7 +260,9 @@ TEST(StreamingStress, ArrivalRateSoakKeepsUpAndAccountsLatency) {
 
   ShardOptions sopts;
   sopts.num_shards = 2;
-  ShardedQueryEngine engine(index->get(), &gen.base, sopts);
+  auto engine_or = ShardedQueryEngine::Create(index->get(), &gen.base, sopts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().message();
+  ShardedQueryEngine& engine = **engine_or;
 
   Collector collector;
   ServerOptions opts;
