@@ -1,13 +1,18 @@
 // Microbenchmarks (google-benchmark) for the hot kernels: distance,
-// dot product, LSH hashing, compound-hash folding, RNG, and the
-// simulated-device submit/poll path.
+// dot product, LSH hashing (one compound hash, and a whole radius through
+// each packed projection kernel), compound-hash folding, CRC32C (the
+// dispatched path and the table reference), RNG, and the simulated-device
+// submit/poll path.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "lsh/hash_family.h"
 #include "lsh/hash_function.h"
+#include "lsh/projection_kernels.h"
 #include "storage/memory_device.h"
 #include "util/aligned_buffer.h"
+#include "util/crc32c.h"
 #include "util/distance.h"
 #include "util/rng.h"
 
@@ -58,6 +63,74 @@ void BM_CompoundHash32(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CompoundHash32)->Arg(8)->Arg(16)->Arg(28);
+
+// One radius of the SIFT-scale family the engine hashes per query step:
+// d = 128, L = 12, m = 21 (252 functions).
+lsh::E2lshParams HashAllParams() {
+  lsh::E2lshParams p;
+  p.w = 4.0;
+  p.seed = 5;
+  p.L = 12;
+  p.m = 21;
+  p.radii = {1.0};
+  return p;
+}
+
+void BM_HashAll(benchmark::State& state) {
+  const uint32_t d = 128;
+  const lsh::E2lshParams params = HashAllParams();
+  lsh::HashFamily family(d, params);
+  util::Rng rng(6);
+  std::vector<float> p(d);
+  for (auto& v : p) v = rng.NextFloat();
+  std::vector<uint32_t> out(params.L);
+  for (auto _ : state) {
+    family.HashAll(0, p.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(lsh::kernels::Active().name);
+}
+BENCHMARK(BM_HashAll);
+
+// The dot-product pass of HashAll on each kernel this CPU runs (arg =
+// index into kernels::Supported(), 0 = scalar reference).
+void BM_ProjectionDots(benchmark::State& state) {
+  const auto supported = lsh::kernels::Supported();
+  const size_t which = static_cast<size_t>(state.range(0));
+  if (which >= supported.size()) {
+    state.SkipWithError("kernel not supported on this CPU");
+    return;
+  }
+  const uint32_t d = 128, stride = 256;
+  util::Rng rng(7);
+  std::vector<float> mat(static_cast<size_t>(d) * stride), p(d), dots(stride);
+  for (auto& v : mat) v = static_cast<float>(rng.Gaussian());
+  for (auto& v : p) v = rng.NextFloat();
+  for (auto _ : state) {
+    supported[which].dots(mat.data(), stride, p.data(), d, stride, dots.data());
+    benchmark::DoNotOptimize(dots.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(supported[which].name);
+}
+BENCHMARK(BM_ProjectionDots)->Arg(0)->Arg(1)->Arg(2);
+
+template <bool kTable>
+void BM_Crc32c(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> block(len);
+  util::Rng rng(8);
+  for (auto& b : block) b = static_cast<uint8_t>(rng.NextU32());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kTable ? util::crc_internal::Crc32cExtendTable(0xFFFFFFFFu, block.data(), len)
+               : util::Crc32cExtend(0xFFFFFFFFu, block.data(), len));
+  }
+  state.SetBytesProcessed(state.iterations() * len);
+}
+BENCHMARK_TEMPLATE(BM_Crc32c, false)->Arg(512)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_Crc32c, true)->Arg(512)->Arg(4096);
 
 void BM_Fold(benchmark::State& state) {
   std::vector<int32_t> vals(28);

@@ -121,11 +121,16 @@ Result<std::unique_ptr<StorageIndex>> IndexBuilder::Build(
 
   IndexSizes& sizes = index->sizes_;
 
+  // One radius's hashes for every point, [i * L + l]: each point is
+  // projected once per radius, then the tables are sorted one l at a time.
+  std::vector<uint32_t> hashes(base.n() * layout.L);
   for (uint32_t r = 0; r < layout.num_radii; ++r) {
+    for (uint64_t i = 0; i < base.n(); ++i) {
+      index->family_.HashAll(r, base.Row(i), hashes.data() + i * layout.L);
+    }
     for (uint32_t l = 0; l < layout.L; ++l) {
-      const lsh::CompoundHash& g = index->family_.Get(r, l);
       for (uint64_t i = 0; i < base.n(); ++i) {
-        const uint32_t h = g.Hash32(base.Row(i));
+        const uint32_t h = hashes[i * layout.L + l];
         entries[i] = {layout.fp.TableIndex(h), h, static_cast<uint32_t>(i)};
       }
       std::sort(entries.begin(), entries.end(),

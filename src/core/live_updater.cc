@@ -238,9 +238,11 @@ Status LiveUpdater::StageInsertLocked(const float* row, uint32_t* id_out) {
     return addr;
   };
 
+  std::vector<uint32_t> hashes(layout.L);
   for (uint32_t r = 0; r < layout.num_radii; ++r) {
+    index_->family_.HashAll(r, row, hashes.data());
     for (uint32_t l = 0; l < layout.L; ++l) {
-      const uint32_t h = index_->family_.Get(r, l).Hash32(row);
+      const uint32_t h = hashes[l];
       const uint32_t slot = layout.fp.TableIndex(h);
       const uint32_t fp = layout.fp.Fingerprint(h);
       const uint64_t key = index_->BucketKey(r, l, slot);

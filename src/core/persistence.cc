@@ -158,6 +158,13 @@ Result<std::unique_ptr<StorageIndex>> LoadIndexMeta(const std::string& path,
     std::fclose(f);
     return Status::InvalidArgument("corrupt radius schedule in " + path);
   }
+  // The hash family is sized from the params, the engine's per-radius
+  // hash buffers and the tables from the layout: they must agree.
+  if (p.L != layout.L || num_radii != layout.num_radii || p.m == 0) {
+    std::fclose(f);
+    return Status::InvalidArgument("hash parameters disagree with the layout in " +
+                                   path);
+  }
   p.radii.resize(num_radii);
   r.Bytes(p.radii.data(), num_radii * sizeof(double));
 

@@ -23,11 +23,14 @@ Result<std::unique_ptr<InMemoryE2lsh>> InMemoryE2lsh::Build(
   idx->tables_.resize(static_cast<size_t>(num_radii) * params.L);
 
   std::vector<std::pair<uint32_t, uint32_t>> pairs(base.n());  // (hash, id)
+  std::vector<uint32_t> hashes(base.n() * params.L);  // [i * L + l]
   for (uint32_t r = 0; r < num_radii; ++r) {
+    for (uint64_t i = 0; i < base.n(); ++i) {
+      idx->family_.HashAll(r, base.Row(i), hashes.data() + i * params.L);
+    }
     for (uint32_t l = 0; l < params.L; ++l) {
-      const lsh::CompoundHash& g = idx->family_.Get(r, l);
       for (uint64_t i = 0; i < base.n(); ++i) {
-        pairs[i] = {g.Hash32(base.Row(i)), static_cast<uint32_t>(i)};
+        pairs[i] = {hashes[i * params.L + l], static_cast<uint32_t>(i)};
       }
       std::sort(pairs.begin(), pairs.end());
 
@@ -57,14 +60,16 @@ std::vector<util::Neighbor> InMemoryE2lsh::Search(
   std::unordered_set<uint32_t> checked;
   SearchStats local;
   const uint32_t d = base_->dim();
+  std::vector<uint32_t> hashes(params_.L);
 
   for (uint32_t r = 0; r < params_.num_radii(); ++r) {
     ++local.radii_searched;
     uint64_t checked_in_radius = 0;
     bool draining = false;
+    family_.HashAll(r, query, hashes.data());
 
     for (uint32_t l = 0; l < params_.L && !draining; ++l) {
-      const uint32_t h = family_.Get(r, l).Hash32(query);
+      const uint32_t h = hashes[l];
       const BucketTable& table = Table(r, l);
       const auto it = std::lower_bound(table.keys.begin(), table.keys.end(), h);
       if (it == table.keys.end() || *it != h) continue;
@@ -109,6 +114,7 @@ std::vector<util::Neighbor> InMemoryE2lsh::SearchMultiProbe(
   const uint32_t d = base_->dim();
   const uint32_t m = params_.m;
 
+  std::vector<double> proj(static_cast<size_t>(params_.L) * m);
   std::vector<int32_t> floors(m);
   std::vector<float> residuals(m);
   std::vector<uint32_t> probe_keys;
@@ -118,10 +124,15 @@ std::vector<util::Neighbor> InMemoryE2lsh::SearchMultiProbe(
     ++local.radii_searched;
     uint64_t checked_in_radius = 0;
     bool draining = false;
+    family_.ProjectAll(r, query, proj.data());
 
     for (uint32_t l = 0; l < params_.L && !draining; ++l) {
-      const lsh::CompoundHash& g = family_.Get(r, l);
-      g.HashWithResiduals(query, floors.data(), residuals.data());
+      for (uint32_t j = 0; j < m; ++j) {
+        const double p = proj[static_cast<size_t>(l) * m + j];
+        const double fl = std::floor(p);
+        floors[j] = static_cast<int32_t>(fl);
+        residuals[j] = static_cast<float>(p - fl);
+      }
 
       probe_keys.clear();
       probe_keys.push_back(lsh::CompoundHash::Fold(floors.data(), m));

@@ -5,13 +5,18 @@
 // For radius R the component bucket width is w * R: the geometry of
 // Eq. 2/3 is scale-free, so scaling w by R makes the same (p1, p2) pair
 // apply at every rung of the radius ladder.
+//
+// Each radius keeps its L*m projection vectors as one packed matrix
+// (lsh/projection_kernels.h) plus the offsets b and the width w; that is
+// the only copy of the coefficients. Hash values equal those of a
+// CompoundHash drawn from the same seed, bit for bit, on every kernel.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "lsh/hash_function.h"
 #include "lsh/params.h"
+#include "util/aligned_buffer.h"
 
 namespace e2lshos::lsh {
 
@@ -22,29 +27,39 @@ class HashFamily {
   /// Generate all num_radii x L compound hashes for dimension `dim`.
   HashFamily(uint32_t dim, const E2lshParams& params);
 
-  /// The compound hash for (radius index, table index l).
-  const CompoundHash& Get(uint32_t radius_idx, uint32_t l) const {
-    return hashes_[radius_idx * L_ + l];
-  }
+  /// Hash a point under all L compound hashes of one radius: out[l] is
+  /// compound l's folded 32-bit value.
+  void HashAll(uint32_t radius_idx, const float* o, uint32_t* out) const;
 
-  /// Hash a point under all L compound hashes of one radius.
-  void HashAll(uint32_t radius_idx, const float* o, uint32_t* out) const {
-    for (uint32_t l = 0; l < L_; ++l) out[l] = Get(radius_idx, l).Hash32(o);
-  }
+  /// The L*m projections (a.o + b) / w of one radius, compound l's
+  /// functions at [l*m, (l+1)*m): floor them for the component hashes,
+  /// keep the fraction for Multi-Probe scoring.
+  void ProjectAll(uint32_t radius_idx, const float* o, double* out) const;
 
-  uint32_t num_radii() const { return num_radii_; }
+  uint32_t num_radii() const { return static_cast<uint32_t>(radii_.size()); }
   uint32_t L() const { return L_; }
+  uint32_t m() const { return m_; }
   uint32_t dim() const { return dim_; }
+  /// Component bucket width at a radius (w * R).
+  double w(uint32_t radius_idx) const { return radii_[radius_idx].w; }
 
-  /// Approximate heap footprint (the DRAM cost of keeping the hash
-  /// functions resident; part of Table 6 accounting).
+  /// DRAM cost of keeping the hash functions resident, part of Table 6
+  /// accounting: d floats plus b and w per function.
   uint64_t MemoryBytes() const;
 
  private:
+  struct Radius {
+    /// [dim][stride_] coefficients, zero past L*m.
+    std::vector<float, util::AlignedAllocator<float, 64>> a;
+    std::vector<double> b;  ///< [stride_] offsets, zero past L*m.
+    double w = 1.0;
+  };
+
   uint32_t dim_ = 0;
-  uint32_t num_radii_ = 0;
   uint32_t L_ = 0;
-  std::vector<CompoundHash> hashes_;
+  uint32_t m_ = 0;
+  uint32_t stride_ = 0;  ///< L*m rounded up to kernels::kFuncPad.
+  std::vector<Radius> radii_;
 };
 
 }  // namespace e2lshos::lsh

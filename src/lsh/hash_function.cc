@@ -28,47 +28,19 @@ CompoundHash::CompoundHash(uint32_t dim, uint32_t m, double w, util::Rng& rng) {
 }
 
 uint32_t CompoundHash::Fold(const int32_t* values, uint32_t m) {
-  // FNV-1a over the component hashes, then a splitmix-style avalanche so
-  // the low u bits used as the table index are well mixed.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (uint32_t j = 0; j < m; ++j) {
-    h ^= static_cast<uint32_t>(values[j]);
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return static_cast<uint32_t>(h);
+  uint64_t h = kFoldBasis;
+  for (uint32_t j = 0; j < m; ++j) h = FoldStep(h, values[j]);
+  return FoldFinish(h);
 }
 
 uint32_t CompoundHash::Hash32(const float* o) const {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& f : funcs_) {
-    h ^= static_cast<uint32_t>(f.Hash(o));
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return static_cast<uint32_t>(h);
+  uint64_t h = kFoldBasis;
+  for (const auto& f : funcs_) h = FoldStep(h, f.Hash(o));
+  return FoldFinish(h);
 }
 
 void CompoundHash::HashVector(const float* o, int32_t* out) const {
   for (uint32_t j = 0; j < funcs_.size(); ++j) out[j] = funcs_[j].Hash(o);
-}
-
-void CompoundHash::HashWithResiduals(const float* o, int32_t* floors,
-                                     float* residuals) const {
-  for (uint32_t j = 0; j < funcs_.size(); ++j) {
-    const double proj = funcs_[j].Project(o);
-    const double fl = std::floor(proj);
-    floors[j] = static_cast<int32_t>(fl);
-    residuals[j] = static_cast<float>(proj - fl);
-  }
 }
 
 double CollisionProbability(double x) {

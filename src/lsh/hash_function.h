@@ -42,7 +42,9 @@ class LshFunction {
 };
 
 /// \brief A compound hash g(o) of m independent LSH functions folded to a
-/// 32-bit value.
+/// 32-bit value, one function at a time. Indexes hash through
+/// HashFamily's packed kernels instead; this is the reference they are
+/// tested against.
 class CompoundHash {
  public:
   CompoundHash() = default;
@@ -58,12 +60,7 @@ class CompoundHash {
   /// The raw m-dimensional hash vector (diagnostics / tests).
   void HashVector(const float* o, int32_t* out) const;
 
-  /// Floor values plus fractional in-bucket positions (residuals in
-  /// [0, 1)), the inputs to Multi-Probe perturbation scoring.
-  void HashWithResiduals(const float* o, int32_t* floors, float* residuals) const;
-
   uint32_t m() const { return static_cast<uint32_t>(funcs_.size()); }
-  const LshFunction& func(uint32_t j) const { return funcs_[j]; }
 
   /// Fold an m-vector of floor values to the 32-bit compound value.
   static uint32_t Fold(const int32_t* values, uint32_t m);
@@ -71,6 +68,25 @@ class CompoundHash {
  private:
   std::vector<LshFunction> funcs_;
 };
+
+/// The 32-bit compound fold, in steps: start from kFoldBasis, take each
+/// component floor in order with FoldStep (FNV-1a), then FoldFinish (a
+/// splitmix-style avalanche, so the low u bits used as the table index
+/// are well mixed). CompoundHash::Fold and HashFamily::HashAll share it.
+inline constexpr uint64_t kFoldBasis = 0xcbf29ce484222325ULL;
+
+inline uint64_t FoldStep(uint64_t h, int32_t value) {
+  return (h ^ static_cast<uint32_t>(value)) * 0x100000001b3ULL;
+}
+
+inline uint32_t FoldFinish(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<uint32_t>(h);
+}
 
 /// \brief Collision probability p_w(s) of h for two points at distance s,
 /// parameterized by x = w / s:

@@ -471,8 +471,13 @@ DeviceStats CacheDevice::stats() const {
   out.cache_evictions += store_->evictions();
   out.bytes_cached += store_->bytes_cached();
   // The lane counts cache-level reads (hits never reach the device); the
-  // inner device's busy time is still the real hardware occupancy.
-  out.busy_ns += inner_->stats().busy_ns;
+  // inner device's busy time is still the real hardware occupancy, and
+  // the fault and retry layers below count what happened to the misses.
+  const DeviceStats inner = inner_->stats();
+  out.busy_ns += inner.busy_ns;
+  out.faults_injected += inner.faults_injected;
+  out.retries += inner.retries;
+  out.retries_exhausted += inner.retries_exhausted;
   return out;
 }
 

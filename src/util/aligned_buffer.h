@@ -69,4 +69,32 @@ class AlignedBuffer {
   size_t alignment_ = 512;
 };
 
+/// \brief std::allocator with a fixed over-alignment, for vectors that
+/// SIMD kernels load in whole cache lines.
+template <typename T, size_t Alignment>
+struct AlignedAllocator {
+  using value_type = T;
+  template <typename U>
+  struct rebind {
+    using other = AlignedAllocator<U, Alignment>;
+  };
+
+  AlignedAllocator() = default;
+  template <typename U>
+  AlignedAllocator(const AlignedAllocator<U, Alignment>&) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{Alignment}));
+  }
+  void deallocate(T* p, size_t) {
+    ::operator delete(p, std::align_val_t{Alignment});
+  }
+
+  template <typename U>
+  bool operator==(const AlignedAllocator<U, Alignment>&) const { return true; }
+  template <typename U>
+  bool operator!=(const AlignedAllocator<U, Alignment>&) const { return false; }
+};
+
 }  // namespace e2lshos::util

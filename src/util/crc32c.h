@@ -1,10 +1,11 @@
 // CRC32C (Castagnoli) — the checksum used for on-device block integrity.
 //
-// Table-based slice-by-4 implementation: no SSE4.2 dependency, so the
-// same bits verify on any host. The polynomial (0x1EDC6F41, reflected
-// 0x82F63B78) matches iSCSI/ext4/LevelDB, i.e. what a hardware CRC32C
-// instruction would produce — swapping in an accelerated path later
-// cannot change stored checksums.
+// Crc32cExtend picks its path once, from CPUID: the SSE4.2 `crc32`
+// instruction where the CPU has it, else the table-based slice-by-4
+// reference below (also the path on non-x86 hosts). Both compute the
+// same polynomial (0x1EDC6F41, reflected 0x82F63B78; iSCSI/ext4/LevelDB)
+// over the same internal state, so the path never changes a stored
+// checksum: images stamped on one host verify on any other.
 #pragma once
 
 #include <array>
@@ -37,15 +38,9 @@ struct Crc32cTables {
 
 inline constexpr Crc32cTables kCrc32cTables{};
 
-}  // namespace crc_internal
-
-/// Extend a running CRC32C over `len` bytes. Start (and finish) with
-/// the one-shot Crc32c() unless incrementally checksumming a stream;
-/// `crc` here is the *internal* (pre-finalization) state, i.e.
-/// Crc32cExtend(Crc32cExtend(0xFFFFFFFF, a), b) finalized equals
-/// Crc32c over a||b.
-inline uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
-  const auto& t = crc_internal::kCrc32cTables.t;
+/// The slice-by-4 table path: the reference every other path must match.
+inline uint32_t Crc32cExtendTable(uint32_t crc, const void* data, size_t len) {
+  const auto& t = kCrc32cTables.t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   while (len >= 4) {
     crc ^= static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
@@ -61,6 +56,20 @@ inline uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
   }
   return crc;
 }
+
+using Crc32cExtendFn = uint32_t (*)(uint32_t crc, const void* data, size_t len);
+
+/// The hardware path (SSE4.2), or nullptr when this CPU has none.
+Crc32cExtendFn HardwareCrc32cExtend();
+
+}  // namespace crc_internal
+
+/// Extend a running CRC32C over `len` bytes. Start (and finish) with
+/// the one-shot Crc32c() unless incrementally checksumming a stream;
+/// `crc` here is the *internal* (pre-finalization) state, i.e.
+/// Crc32cExtend(Crc32cExtend(0xFFFFFFFF, a), b) finalized equals
+/// Crc32c over a||b.
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len);
 
 /// One-shot CRC32C of a buffer (standard init 0xFFFFFFFF, final xor).
 inline uint32_t Crc32c(const void* data, size_t len) {

@@ -22,8 +22,10 @@
 #include "core/persistence.h"
 #include "core/query_engine.h"
 #include "data/generators.h"
+#include "storage/cache_device.h"
 #include "storage/device_registry.h"
 #include "storage/memory_device.h"
+#include "storage/retry_device.h"
 #include "storage/uring_device.h"
 
 namespace e2lshos {
@@ -354,6 +356,29 @@ TEST(ApiIndex, DeviceCountersSurviveReshard) {
   EXPECT_EQ((*idx)->device_stats().reads_completed, reads);
   ASSERT_TRUE((*idx)->SearchBatch(t.gen.queries, 5).ok());
   EXPECT_EQ((*idx)->device_stats().reads_completed, 2 * reads);
+}
+
+// device_stats() on a fault+retry+cache stack reports the fault and retry
+// layers' counters, not zeros from the cache on top.
+TEST(ApiIndex, DeviceStatsCarryFaultAndRetryCountersThroughCache) {
+  auto t = MakeData(1500);
+  IndexSpec spec;
+  spec.lsh = t.cfg;
+  spec.device_uri = "mem:?fault=complete:0.05,seed:3&retry=3&cache=1m";
+  auto idx = Index::Build(spec, t.gen.base);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  ASSERT_TRUE((*idx)->SearchBatch(t.gen.queries, 5).ok());
+  auto* cache = dynamic_cast<storage::CacheDevice*>((*idx)->device());
+  ASSERT_NE(cache, nullptr);
+  auto* retry = dynamic_cast<storage::RetryDevice*>(cache->inner());
+  ASSERT_NE(retry, nullptr);
+  const storage::DeviceStats faulted = retry->inner()->stats();
+  const storage::DeviceStats retried = retry->stats();
+  const storage::DeviceStats reported = (*idx)->device_stats();
+  EXPECT_GT(faulted.faults_injected, 0u);
+  EXPECT_EQ(reported.faults_injected, faulted.faults_injected);
+  EXPECT_EQ(reported.retries, retried.retries);
+  EXPECT_EQ(reported.retries_exhausted, retried.retries_exhausted);
 }
 
 // A device that cannot create a shard's queue fails the query with its

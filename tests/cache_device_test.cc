@@ -28,8 +28,11 @@
 #include "core/sharded_engine.h"
 #include "data/generators.h"
 #include "storage/cache_device.h"
+#include "storage/device_registry.h"
+#include "storage/faulty_device.h"
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
+#include "storage/retry_device.h"
 #include "storage/simulated_device.h"
 #include "storage/striped_device.h"
 #include "storage/uring_device.h"
@@ -202,6 +205,34 @@ TEST(CacheCounters, CreateValidatesCapacity) {
 // parent, queue-local resets from queues, no double-reset of shared
 // children, and exact re-aggregation afterwards.
 // ---------------------------------------------------------------------------
+
+TEST(CacheCounters, FaultAndRetryCountersPassThroughTheCache) {
+  // The misses of a cache= stack go through the retry and fault layers:
+  // the cache-level stats must report what those layers counted.
+  DeviceUriOpenOptions opt;
+  opt.capacity = kCapacity;
+  auto dev = OpenDeviceUri("mem:?fault=complete:0.3,seed:5&retry=3&cache=1m", opt);
+  ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  auto* cache = dynamic_cast<CacheDevice*>(dev->get());
+  ASSERT_NE(cache, nullptr);
+  auto* retry = dynamic_cast<RetryDevice*>(cache->inner());
+  ASSERT_NE(retry, nullptr);
+  auto* faulty = dynamic_cast<FaultyDevice*>(retry->inner());
+  ASSERT_NE(faulty, nullptr);
+
+  util::AlignedBuffer buf(kSectorBytes);
+  for (uint64_t s = 0; s < 64; ++s) {
+    ReadOne(cache, s * kSectorBytes, kSectorBytes, buf.data());
+  }
+  const DeviceStats top = cache->stats();
+  const DeviceStats retried = retry->stats();
+  const DeviceStats faulted = faulty->stats();
+  EXPECT_GT(faulted.faults_injected, 0u);
+  EXPECT_GT(retried.retries, 0u);
+  EXPECT_EQ(top.faults_injected, faulted.faults_injected);
+  EXPECT_EQ(top.retries, retried.retries);
+  EXPECT_EQ(top.retries_exhausted, retried.retries_exhausted);
+}
 
 TEST(CacheResetStats, ParentResetIsOneFullReset) {
   auto mem = MemoryDevice::Create(kCapacity);

@@ -195,7 +195,9 @@ TEST(Builder, FingerprintsMatchHashes) {
   auto codec = ObjectInfoCodec::Make(f.gen.base.n(), layout.fp);
   ASSERT_TRUE(codec.ok());
   // Follow object 0's bucket at (radius 0, l 0) and check its fingerprint.
-  const uint32_t h = f.index->family().Get(0, 0).Hash32(f.gen.base.Row(0));
+  std::vector<uint32_t> hashes(layout.L);
+  f.index->family().HashAll(0, f.gen.base.Row(0), hashes.data());
+  const uint32_t h = hashes[0];
   const uint32_t slot = layout.fp.TableIndex(h);
   uint64_t addr = 0;
   ASSERT_TRUE(

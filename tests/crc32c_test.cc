@@ -1,8 +1,8 @@
 // Tests for util/crc32c.h (the checksum under format v3) and the block
 // CRC helpers in core/layout.h: known-answer vectors pin the polynomial
-// and bit order, incremental extension must match one-shot hashing, and
-// a stamped block must verify until any byte — header or payload —
-// flips.
+// and bit order, incremental extension must match one-shot hashing, the
+// hardware path must equal the table path byte for byte, and a stamped
+// block must verify until any byte — header or payload — flips.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -68,6 +68,37 @@ TEST(Crc32c, StampIsIdempotent) {
   std::vector<uint8_t> again = block;
   core::StampBlockCrc(again.data(), again.size());
   EXPECT_EQ(block, again);
+}
+
+// Every length 0..1100 and a few 4 KiB-scale ones, at every start offset
+// 0..7, whole and split in two: the dispatched path (and the hardware one,
+// when the CPU has it) must equal the table reference, chaining included.
+TEST(Crc32c, HardwareAndDispatchedPathsMatchTable) {
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 1100; ++len) lengths.push_back(len);
+  for (const size_t len : {4079ul, 4080ul, 4096ul, 8160ul, 12345ul}) lengths.push_back(len);
+  std::vector<uint8_t> data(12345 + 8);
+  uint32_t x = 0x9E3779B9u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  std::vector<util::crc_internal::Crc32cExtendFn> paths = {util::Crc32cExtend};
+  if (auto hw = util::crc_internal::HardwareCrc32cExtend()) paths.push_back(hw);
+  for (size_t off = 0; off < 8; ++off) {
+    for (const size_t len : lengths) {
+      const uint8_t* p = data.data() + off;
+      const uint32_t want =
+          util::crc_internal::Crc32cExtendTable(0xFFFFFFFFu, p, len);
+      const size_t split = len / 3;
+      for (const auto extend : paths) {
+        ASSERT_EQ(extend(0xFFFFFFFFu, p, len), want) << "off " << off << " len " << len;
+        const uint32_t head = extend(0xFFFFFFFFu, p, split);
+        ASSERT_EQ(extend(head, p + split, len - split), want)
+            << "off " << off << " len " << len << " split " << split;
+      }
+    }
+  }
 }
 
 }  // namespace

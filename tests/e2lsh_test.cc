@@ -127,13 +127,14 @@ TEST(InMemoryE2lsh, LargerGammaReducesCandidates) {
   // at a mid/deep radius must shrink.
   const uint32_t r_fixed = lo.params.num_radii() - 2;
   uint64_t occ_lo = 0, occ_hi = 0;
+  std::vector<uint32_t> h_lo(lo.params.L), h_hi(params_hi->L);
   for (uint64_t q = 0; q < 30; ++q) {
     const float* query = lo.gen.queries.Row(q);
+    lo.index->family().HashAll(r_fixed, query, h_lo.data());
+    (*hi)->family().HashAll(r_fixed, query, h_hi.data());
     for (uint32_t l = 0; l < lo.params.L; ++l) {
-      occ_lo += lo.index->BucketSize(r_fixed, l,
-                                     lo.index->family().Get(r_fixed, l).Hash32(query));
-      occ_hi += (*hi)->BucketSize(r_fixed, l,
-                                  (*hi)->family().Get(r_fixed, l).Hash32(query));
+      occ_lo += lo.index->BucketSize(r_fixed, l, h_lo[l]);
+      occ_hi += (*hi)->BucketSize(r_fixed, l, h_hi[l]);
     }
   }
   EXPECT_LT(occ_hi, occ_lo);

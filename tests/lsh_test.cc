@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "lsh/fingerprint.h"
 #include "lsh/hash_family.h"
 #include "lsh/hash_function.h"
 #include "lsh/params.h"
+#include "lsh/projection_kernels.h"
+#include "util/distance.h"
 #include "util/rng.h"
 
 namespace e2lshos::lsh {
@@ -239,10 +242,11 @@ TEST(HashFamily, DeterministicForSameSeed) {
   HashFamily fam1(16, *params), fam2(16, *params);
   util::Rng rng(10);
   const auto p = RandomPoint(16, rng);
+  std::vector<uint32_t> h1(params->L), h2(params->L);
   for (uint32_t r = 0; r < params->num_radii(); ++r) {
-    for (uint32_t l = 0; l < params->L; ++l) {
-      EXPECT_EQ(fam1.Get(r, l).Hash32(p.data()), fam2.Get(r, l).Hash32(p.data()));
-    }
+    fam1.HashAll(r, p.data(), h1.data());
+    fam2.HashAll(r, p.data(), h2.data());
+    EXPECT_EQ(h1, h2);
   }
 }
 
@@ -254,7 +258,7 @@ TEST(HashFamily, BucketWidthScalesWithRadius) {
   HashFamily fam(16, *params);
   // Component width at radius index r is w * c^r.
   for (uint32_t r = 0; r < params->num_radii(); ++r) {
-    EXPECT_NEAR(fam.Get(r, 0).func(0).w(), params->w * params->radii[r], 1e-9);
+    EXPECT_NEAR(fam.w(r), params->w * params->radii[r], 1e-9);
   }
 }
 
@@ -270,14 +274,17 @@ TEST(HashFamily, WiderBucketsCatchFartherNeighbors) {
   util::Rng rng(11);
   int near_radius_collisions = 0, far_radius_collisions = 0;
   const uint32_t last = params->num_radii() - 1;
+  std::vector<uint32_t> hp(params->L), hq(params->L);
   for (int t = 0; t < 200; ++t) {
     const auto p = RandomPoint(32, rng, 2.0);
     const auto q = PointAtDistance(p, 4.0, rng);
     const uint32_t l = static_cast<uint32_t>(t) % params->L;
-    near_radius_collisions += fam.Get(0, l).Hash32(p.data()) ==
-                              fam.Get(0, l).Hash32(q.data());
-    far_radius_collisions += fam.Get(last, l).Hash32(p.data()) ==
-                             fam.Get(last, l).Hash32(q.data());
+    fam.HashAll(0, p.data(), hp.data());
+    fam.HashAll(0, q.data(), hq.data());
+    near_radius_collisions += hp[l] == hq[l];
+    fam.HashAll(last, p.data(), hp.data());
+    fam.HashAll(last, q.data(), hq.data());
+    far_radius_collisions += hp[l] == hq[l];
   }
   EXPECT_LT(near_radius_collisions, 20);
   EXPECT_GT(far_radius_collisions, 120);
@@ -316,6 +323,182 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CollisionCase{2.0, 1.0}, CollisionCase{4.0, 1.0},
                       CollisionCase{4.0, 2.0}, CollisionCase{8.0, 1.0},
                       CollisionCase{8.0, 4.0}, CollisionCase{16.0, 2.0}));
+
+// ---------------------------------------------------------------------------
+// Packed projection kernels: every path this host runs is bit-identical to
+// util::Dot and to the scalar floor step, so hash values never depend on
+// the CPU.
+// ---------------------------------------------------------------------------
+
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+constexpr uint32_t kDims[] = {1, 7, 13, 100, 128, 960};
+
+TEST(ProjectionKernels, ScalarIsAlwaysSupportedAndFirst) {
+  const auto supported = kernels::Supported();
+  ASSERT_FALSE(supported.empty());
+  EXPECT_STREQ(supported.front().name, "scalar");
+  EXPECT_STREQ(kernels::Active().name, supported.back().name);
+}
+
+TEST(ProjectionKernels, EveryKernelMatchesDotAndScalarFloors) {
+  util::Rng rng(31);
+  for (const uint32_t d : kDims) {
+    for (const uint32_t funcs : {1u, 21u, 64u, 105u, 252u, 333u}) {
+      const uint32_t stride =
+          (funcs + kernels::kFuncPad - 1) / kernels::kFuncPad * kernels::kFuncPad;
+      std::vector<float> mat(static_cast<size_t>(d) * stride, 0.f);
+      std::vector<double> b(stride, 0.0);
+      for (uint32_t f = 0; f < funcs; ++f) {
+        for (uint32_t i = 0; i < d; ++i) {
+          mat[static_cast<size_t>(i) * stride + f] = static_cast<float>(rng.Gaussian());
+        }
+        b[f] = rng.Uniform(0.0, 4.0);
+      }
+      const auto o = RandomPoint(d, rng, 3.0);
+      // The reference: one util::Dot per function over its own vector.
+      std::vector<float> want(funcs);
+      std::vector<float> row(d);
+      for (uint32_t f = 0; f < funcs; ++f) {
+        for (uint32_t i = 0; i < d; ++i) row[i] = mat[static_cast<size_t>(i) * stride + f];
+        want[f] = util::Dot(row.data(), o.data(), d);
+      }
+      std::vector<int32_t> want_floors(stride);
+      kernels::Supported().front().floors(want.data(), b.data(), 4.0, funcs / 16 * 16,
+                                          want_floors.data());
+      for (uint32_t f = funcs / 16 * 16; f < funcs; ++f) {
+        want_floors[f] = static_cast<int32_t>(
+            std::floor((static_cast<double>(want[f]) + b[f]) / 4.0));
+      }
+      for (const auto& k : kernels::Supported()) {
+        std::vector<float> dots(stride, -1.f);
+        k.dots(mat.data(), stride, o.data(), d, stride, dots.data());
+        std::vector<int32_t> floors(stride);
+        k.floors(dots.data(), b.data(), 4.0, stride, floors.data());
+        for (uint32_t f = 0; f < funcs; ++f) {
+          ASSERT_EQ(Bits(dots[f]), Bits(want[f]))
+              << k.name << " d=" << d << " funcs=" << funcs << " f=" << f;
+          ASSERT_EQ(floors[f], want_floors[f])
+              << k.name << " d=" << d << " funcs=" << funcs << " f=" << f;
+        }
+        // Padding functions have zero coefficients: their dot is +0.
+        for (uint32_t f = funcs; f < stride; ++f) EXPECT_EQ(dots[f], 0.f) << k.name;
+      }
+    }
+  }
+}
+
+TEST(ProjectionKernels, KernelsAgreeOnAColumnWindow) {
+  // HashAll hands a kernel the matrix from some column on (mat + begin):
+  // the result must not depend on where the window starts.
+  util::Rng rng(32);
+  const uint32_t d = 13, stride = 64;
+  std::vector<float> mat(static_cast<size_t>(d) * stride);
+  for (auto& v : mat) v = static_cast<float>(rng.Gaussian());
+  const auto o = RandomPoint(d, rng);
+  std::vector<float> full(stride), window(32);
+  for (const auto& k : kernels::Supported()) {
+    k.dots(mat.data(), stride, o.data(), d, stride, full.data());
+    k.dots(mat.data() + 16, stride, o.data(), d, 32, window.data());
+    for (uint32_t f = 0; f < 32; ++f) EXPECT_EQ(Bits(window[f]), Bits(full[16 + f])) << k.name;
+  }
+}
+
+// The compound hashes HashFamily(dim, params) must equal, function for
+// function, CompoundHash objects drawn in the same order from the same seed.
+TEST(HashFamily, HashAllMatchesCompoundHashReference) {
+  util::Rng prng(33);
+  for (const uint32_t d : kDims) {
+    for (const auto& [L, m] : {std::pair<uint32_t, uint32_t>{1, 1}, {3, 7}, {12, 21}, {5, 13}}) {
+      E2lshParams params;
+      params.w = 4.0;
+      params.seed = 1000 + d + L * m;
+      params.L = L;
+      params.m = m;
+      params.radii = {1.0, 2.0, 8.0};
+      HashFamily fam(d, params);
+      util::Rng master(params.seed);
+      std::vector<std::vector<CompoundHash>> ref(params.num_radii());
+      for (uint32_t r = 0; r < params.num_radii(); ++r) {
+        for (uint32_t l = 0; l < L; ++l) {
+          util::Rng child = master.Fork();
+          ref[r].emplace_back(d, m, params.w * params.radii[r], child);
+        }
+      }
+      std::vector<uint32_t> out(L);
+      std::vector<double> proj(static_cast<size_t>(L) * m);
+      std::vector<int32_t> floors(m);
+      for (int t = 0; t < 20; ++t) {
+        const auto p = RandomPoint(d, prng, 0.5 + t);
+        for (uint32_t r = 0; r < params.num_radii(); ++r) {
+          fam.HashAll(r, p.data(), out.data());
+          fam.ProjectAll(r, p.data(), proj.data());
+          for (uint32_t l = 0; l < L; ++l) {
+            ASSERT_EQ(out[l], ref[r][l].Hash32(p.data()))
+                << "d=" << d << " L=" << L << " m=" << m << " r=" << r << " l=" << l;
+            for (uint32_t j = 0; j < m; ++j) {
+              floors[j] = static_cast<int32_t>(std::floor(proj[l * m + j]));
+            }
+            EXPECT_EQ(CompoundHash::Fold(floors.data(), m), out[l]);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Pinned outputs, recorded with the per-function hash before the packed
+// kernels existed: the same seed must keep producing the same tables.
+E2lshParams PinnedParams() {
+  E2lshParams p;
+  p.c = 2.0;
+  p.w = 4.0;
+  p.seed = 20230328;
+  p.m = 10;
+  p.L = 9;
+  p.radii = {1.0, 2.0, 4.0, 8.0};
+  return p;
+}
+
+std::vector<float> PinnedPoint(uint32_t d) {
+  std::vector<float> p(d);
+  for (uint32_t i = 0; i < d; ++i) p[i] = static_cast<float>(i % 7) * 0.375f - 1.125f;
+  return p;
+}
+
+TEST(HashFamily, HashAllMatchesPinnedValues) {
+  struct Pinned {
+    uint32_t d, r;
+    std::vector<uint32_t> hashes;
+  };
+  const Pinned pinned[] = {
+      {13, 0, {0xf575708eu, 0xfd8ba110u, 0x1fb39531u, 0x01afed67u, 0x52478a58u,
+               0x605a54e7u, 0xebb05b1cu, 0x40c64da3u, 0xb2f10d3au}},
+      {128, 0, {0x85b297ffu, 0x600bd089u, 0xf8769fd9u, 0x2fdc4e96u, 0x9b590260u,
+                0xe349d55eu, 0x75640cafu, 0x4bbb012du, 0xeff7abc7u}},
+      {128, 3, {0xf5bbe302u, 0x01afed67u, 0x78d74678u, 0xcef159d2u, 0x9049b2beu,
+                0x9a8d75bcu, 0xdcc8518fu, 0xe63b0f90u, 0x9049b2beu}},
+  };
+  const E2lshParams params = PinnedParams();
+  for (const auto& want : pinned) {
+    HashFamily fam(want.d, params);
+    const auto p = PinnedPoint(want.d);
+    std::vector<uint32_t> out(params.L);
+    fam.HashAll(want.r, p.data(), out.data());
+    EXPECT_EQ(out, want.hashes) << "d=" << want.d << " r=" << want.r;
+  }
+}
+
+TEST(HashFamily, MemoryBytesCountsEveryFunction) {
+  const E2lshParams params = PinnedParams();
+  HashFamily fam(128, params);
+  EXPECT_EQ(fam.MemoryBytes(), 4ull * 9 * 10 * (128 * sizeof(float) + 2 * sizeof(double)));
+}
+
 
 }  // namespace
 }  // namespace e2lshos::lsh

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "core/builder.h"
 #include "core/persistence.h"
@@ -12,6 +13,7 @@
 #include "data/generators.h"
 #include "storage/file_device.h"
 #include "storage/memory_device.h"
+#include "util/crc32c.h"
 
 namespace e2lshos::core {
 namespace {
@@ -156,6 +158,76 @@ TEST(Persistence, TruncatedFileRejected) {
   // Truncate the tail off.
   ::truncate(meta.c_str(), 64);
   EXPECT_FALSE(LoadIndexMeta(meta, dev->get()).ok());
+  std::remove(meta.c_str());
+}
+
+std::vector<uint8_t> ReadWholeFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteWholeFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// A 2000-point mem: build's image and meta, pinned by size and CRC32C as
+// recorded before the packed hash kernels and the hardware CRC: the same
+// inputs must keep producing the same bytes, so saved v3 images still
+// answer identically.
+TEST(Persistence, SavedImageAndMetaMatchPinnedChecksums) {
+  auto t = MakeData(2000);
+  auto dev = storage::MemoryDevice::Create(1ULL << 30);
+  ASSERT_TRUE(dev.ok());
+  auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
+  ASSERT_TRUE(idx.ok());
+  const std::string meta = ::testing::TempDir() + "/e2_pinned_meta.bin";
+  const std::string image = ::testing::TempDir() + "/e2_pinned_image.bin";
+  ASSERT_TRUE(SaveIndexMeta(**idx, meta).ok());
+  ASSERT_TRUE(SaveIndexImage(**idx, image).ok());
+  const auto meta_bytes = ReadWholeFile(meta);
+  const auto image_bytes = ReadWholeFile(image);
+  EXPECT_EQ(meta_bytes.size(), 2629u);
+  EXPECT_EQ(util::Crc32c(meta_bytes.data(), meta_bytes.size()), 0xe11f3dd4u);
+  EXPECT_EQ(image_bytes.size(), 3601920u);
+  EXPECT_EQ(util::Crc32c(image_bytes.data(), image_bytes.size()), 0x2840997au);
+  std::remove(meta.c_str());
+  std::remove(image.c_str());
+}
+
+// params.L sizes the hash family, layout.L the engine's per-radius hash
+// buffer: a meta where one byte of params.L flipped must be refused, not
+// served (it used to overflow that buffer).
+TEST(Persistence, RejectsParamsThatDisagreeWithLayout) {
+  auto t = MakeData(2000);
+  auto dev = storage::MemoryDevice::Create(1ULL << 30);
+  ASSERT_TRUE(dev.ok());
+  auto idx = IndexBuilder::Build(t.gen.base, t.params, dev->get());
+  ASSERT_TRUE(idx.ok());
+  const std::string meta = ::testing::TempDir() + "/e2_flipped_meta.bin";
+  ASSERT_TRUE(SaveIndexMeta(**idx, meta).ok());
+  auto bytes = ReadWholeFile(meta);
+  // params.L is the little-endian uint32 at byte 124 of the v3 meta.
+  constexpr size_t kParamsLOffset = 124;
+  ASSERT_GT(bytes.size(), kParamsLOffset + 4);
+  uint32_t stored_l = 0;
+  std::memcpy(&stored_l, bytes.data() + kParamsLOffset, sizeof(stored_l));
+  ASSERT_EQ(stored_l, t.params.L);
+  bytes[kParamsLOffset + 1] ^= 0x01;
+  WriteWholeFile(meta, bytes);
+  auto loaded = LoadIndexMeta(meta, dev->get());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
   std::remove(meta.c_str());
 }
 
