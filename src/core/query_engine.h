@@ -170,6 +170,14 @@ class QueryEngine {
   util::AlignedBuffer arena_;
   bool fixed_buffers_active_ = false;
   std::vector<IoSlot> slots_;
+  /// A bucket block's entries that passed the filters, with their rows:
+  /// ProcessBucketBlock's scratch between its prefetch and distance
+  /// passes (objects_per_block() entries, sized once).
+  struct Survivor {
+    uint32_t id = 0;
+    const float* row = nullptr;
+  };
+  std::vector<Survivor> survivors_;
   std::vector<uint32_t> free_slots_;
   uint32_t inflight_ = 0;
 

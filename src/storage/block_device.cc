@@ -22,8 +22,8 @@ Status BlockDevice::ReadSync(uint64_t offset, void* buf, uint32_t length) {
   req.user_data = ~0ULL;
   E2_RETURN_NOT_OK(SubmitRead(req));
   IoCompletion comp;
-  // mem:-class devices complete before the first poll, so a short grace
-  // spin keeps them syscall-free; past that the completion is being held
+  // mem: completes every queued read at the first poll, so a short grace
+  // spin keeps it syscall-free; past that the completion is being held
   // back by a timed or real device and a tight loop would starve every
   // other thread on the core for the full service time.
   uint32_t polls = 0;

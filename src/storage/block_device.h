@@ -12,6 +12,13 @@
 //  * SubmitRead may return ResourceExhausted when the device queue is
 //    full; the caller must PollCompletions and retry.
 //  * user_data is round-tripped to the completion untouched.
+//  * A read's `buf` bytes are defined only once its completion has been
+//    harvested by PollCompletions: a backend may fill the buffer at any
+//    point up to then (MemoryDevice and SimulatedDevice copy at the
+//    harvest itself). Until then the caller must neither read the buffer
+//    nor release it. Destroying a queue abandons its unharvested reads:
+//    once the destructor returns their buffers are never written (mem:
+//    and sim: drop them; file: and uring: wait for the kernel first).
 //  * Writes are synchronous from the caller's point of view: Write (and
 //    the batched WriteBatch) return only when the data is durable in the
 //    device's backing store. Index construction uses them off the

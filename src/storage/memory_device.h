@@ -1,8 +1,14 @@
-// A block device backed by DRAM that completes reads instantly.
+// A block device backed by DRAM whose reads take no device time.
 //
 // Serves two roles: (1) a correctness harness for the E2LSHoS engine in
 // tests, and (2) the "T_read = 0" limit of the paper's cost model, i.e.
 // an idealized storage with in-memory speed.
+//
+// Reads follow the same asynchronous contract as every other backend:
+// SubmitRead queues the read and prefetches its cache lines, and the
+// next PollCompletions copies every queued read out and completes it.
+// A caller that queues many reads before polling thus overlaps their
+// DRAM misses, as a deep device queue overlaps flash reads.
 #pragma once
 
 #include <memory>
@@ -17,7 +23,7 @@ namespace e2lshos::storage {
 class MemoryDevice : public BlockDevice {
  public:
   /// Create a device of `capacity` bytes. `queue_capacity` bounds the
-  /// number of unharvested completions on the device-level path.
+  /// number of unharvested reads on the device-level path.
   static Result<std::unique_ptr<MemoryDevice>> Create(uint64_t capacity,
                                                       uint32_t queue_capacity = 4096);
   ~MemoryDevice() override;
@@ -32,8 +38,8 @@ class MemoryDevice : public BlockDevice {
   DeviceStats stats() const override;
   void ResetStats() override;
 
-  /// Native queues: each gets a private completion inbox over the shared
-  /// backing, so per-queue submit/poll touches no device-wide lock.
+  /// Native queues: each gets a private inbox of pending reads over the
+  /// shared backing, so per-queue submit/poll touches no device-wide lock.
   Result<std::unique_ptr<BlockDevice>> CreateQueue(
       const QueueOptions& options) override;
 

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <set>
 
 #include "core/builder.h"
 #include "core/layout.h"
 #include "core/query_engine.h"
+#include "core/sharded_engine.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "e2lsh/in_memory.h"
@@ -289,6 +291,108 @@ TEST(QueryEngine, CandidateCapRespected) {
     QueryStats st;
     ASSERT_TRUE(engine.Search(f.gen.queries.Row(q), 1, &st).ok());
     EXPECT_LE(st.candidates, f.params.S * st.radii_searched);
+  }
+}
+
+// FNV-1a over every answer (ids and distance bits) and the QueryStats
+// counters, wall_ns excepted. `with_issue_counters` adds the ones that
+// count issued reads (ios, table_reads, bucket_block_reads,
+// buckets_probed): once S binds, how many probes were already in flight
+// depends on when completions arrive, so only a device that completes
+// in a fixed order at a fixed point (mem:, or any device in synchronous
+// mode) pins them.
+uint64_t EngineDigest(const BatchResult& batch, bool with_issue_counters) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      h = (h ^ (v & 0xff)) * 1099511628211ULL;
+    }
+  };
+  for (size_t q = 0; q < batch.results.size(); ++q) {
+    mix(batch.results[q].size());
+    for (const auto& nb : batch.results[q]) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &nb.dist, sizeof(bits));
+      mix(nb.id);
+      mix(bits);
+    }
+    const QueryStats& s = batch.stats[q];
+    for (uint64_t v : {uint64_t{s.radii_searched}, s.candidates, s.fp_rejects,
+                       s.dup_skips, s.tombstone_skips, s.io_errors,
+                       s.corrupt_blocks, s.dropped_candidates,
+                       uint64_t{s.partial}}) {
+      mix(v);
+    }
+    if (with_issue_counters) {
+      for (uint64_t v :
+           {s.ios, s.table_reads, s.bucket_block_reads, s.buckets_probed}) {
+        mix(v);
+      }
+    }
+  }
+  return h;
+}
+
+// Pins the engine's answers and counters on an index where the
+// candidate cap S binds partway through bucket blocks (s_factor 0.5),
+// so a block scan that stops one entry early or late changes the
+// digest. The values were recorded before the block scan was split into
+// a filter pass and a distance pass.
+TEST(QueryEngine, PinnedDigestWhenCandidateCapBinds) {
+  auto f = MakeFixture(2000, 24, /*s_factor=*/0.5);
+  const auto run = [&](const StorageIndex* index, uint32_t shards,
+                       bool synchronous) {
+    auto engine = ShardedQueryEngine::Create(
+        index, &f.gen.base,
+        {.num_shards = shards, .synchronous = synchronous});
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    auto batch = (*engine)->SearchBatch(f.gen.queries, 10);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    return *std::move(batch);
+  };
+
+  // Recorded before the split: the full digest of the default engine on
+  // mem: with 1 and 2 shards, the full digest in synchronous mode (one
+  // read in flight, so no device can reorder anything), and the digest
+  // without the issue counters, which every run shares.
+  constexpr uint64_t kMem1Shard = 0x5fcb93fad720164bULL;
+  constexpr uint64_t kMem2Shards = 0x365675d073e64ec3ULL;
+  constexpr uint64_t kSynchronous = 0x51b599aabc343873ULL;
+  constexpr uint64_t kScan = 0x56ca5edd5f6f4384ULL;
+
+  const BatchResult mem1 = run(f.index.get(), 1, false);
+  const BatchResult mem2 = run(f.index.get(), 2, false);
+  EXPECT_EQ(EngineDigest(mem1, true), kMem1Shard);
+  EXPECT_EQ(EngineDigest(mem2, true), kMem2Shards);
+  EXPECT_EQ(EngineDigest(mem1, false), kScan);
+  EXPECT_EQ(EngineDigest(mem2, false), kScan);
+  for (uint32_t shards : {1u, 2u}) {
+    EXPECT_EQ(EngineDigest(run(f.index.get(), shards, true), true),
+              kSynchronous);
+  }
+
+  // The cap really binds: the same data without it examines more.
+  auto uncapped = MakeFixture(2000, 24, /*s_factor=*/1000.0);
+  const BatchResult wide = run(uncapped.index.get(), 1, false);
+  uint64_t capped_candidates = 0, wide_candidates = 0;
+  for (const auto& s : mem1.stats) capped_candidates += s.candidates;
+  for (const auto& s : wide.stats) wide_candidates += s.candidates;
+  EXPECT_LT(capped_candidates, wide_candidates);
+
+  // The same index on sim:, whose reads land when they are harvested.
+  storage::DeviceModel model =
+      storage::GetDeviceModel(storage::DeviceKind::kCssd);
+  model.service_time_ns = 5000;
+  model.capacity_bytes = 4ULL << 30;
+  auto ssd = storage::SimulatedDevice::Create(model);
+  ASSERT_TRUE(ssd.ok());
+  auto sim_index = IndexBuilder::Build(f.gen.base, f.params, ssd->get());
+  ASSERT_TRUE(sim_index.ok());
+  for (uint32_t shards : {1u, 2u}) {
+    EXPECT_EQ(EngineDigest(run(sim_index->get(), shards, false), false),
+              kScan);
+    EXPECT_EQ(EngineDigest(run(sim_index->get(), shards, true), true),
+              kSynchronous);
   }
 }
 

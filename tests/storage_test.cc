@@ -2,9 +2,13 @@
 // and the interface CPU-cost models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <thread>
 
 #include "storage/device_registry.h"
 #include "storage/file_device.h"
@@ -84,6 +88,128 @@ TEST(MemoryDevice, StatsCountReads) {
   EXPECT_EQ((*dev)->stats().bytes_read, 5 * 512u);
   (*dev)->ResetStats();
   EXPECT_EQ((*dev)->stats().reads_completed, 0u);
+}
+
+// mem: follows the asynchronous read contract: a read is only queued at
+// submission, and its bytes land in the buffer when it is harvested.
+TEST(MemoryDevice, ReadsCompleteWhenHarvested) {
+  auto dev = MemoryDevice::Create(1 << 20);
+  ASSERT_TRUE(dev.ok());
+  auto queue = (*dev)->CreateQueue({.queue_capacity = 64});
+  ASSERT_TRUE(queue.ok());
+  constexpr uint32_t kReads = 8;
+  std::vector<util::AlignedBuffer> bufs;
+  for (uint32_t i = 0; i < kReads; ++i) {
+    WritePattern(dev->get(), i * 8192ULL, 512, 100 + i);
+    bufs.emplace_back(512);
+    IoRequest req{i * 8192ULL, 512, bufs.back().data(), i};
+    ASSERT_TRUE((*queue)->SubmitRead(req).ok());
+  }
+  EXPECT_EQ((*queue)->outstanding(), kReads);
+  EXPECT_EQ((*dev)->outstanding(), kReads);
+  EXPECT_EQ((*queue)->stats().reads_submitted, kReads);
+  EXPECT_EQ((*queue)->stats().reads_completed, 0u);
+  EXPECT_EQ((*queue)->stats().bytes_read, 0u);
+
+  IoCompletion comps[kReads + 1];
+  ASSERT_EQ((*queue)->PollCompletions(comps, kReads + 1), kReads);
+  for (uint32_t i = 0; i < kReads; ++i) {
+    EXPECT_EQ(comps[i].user_data, i);  // harvested in submission order
+    EXPECT_EQ(comps[i].code, StatusCode::kOk);
+    EXPECT_TRUE(CheckPattern(bufs[i].data(), 512, 100 + i)) << i;
+  }
+  EXPECT_EQ((*queue)->outstanding(), 0u);
+  EXPECT_EQ((*queue)->stats().reads_completed, kReads);
+  EXPECT_EQ((*queue)->stats().bytes_read, kReads * 512u);
+  EXPECT_EQ((*dev)->stats().reads_completed, kReads);
+}
+
+TEST(MemoryDevice, QueueFullAtCapacityUnharvestedReads) {
+  auto dev = MemoryDevice::Create(1 << 16, /*queue_capacity=*/4);
+  ASSERT_TRUE(dev.ok());
+  auto queue = (*dev)->CreateQueue({.queue_capacity = 3});
+  ASSERT_TRUE(queue.ok());
+  util::AlignedBuffer buf(512);
+  for (BlockDevice* q : {static_cast<BlockDevice*>(dev->get()), queue->get()}) {
+    const uint32_t capacity = q == dev->get() ? 4 : 3;
+    for (uint32_t i = 0; i < capacity; ++i) {
+      ASSERT_TRUE(q->SubmitRead({0, 512, buf.data(), i}).ok());
+    }
+    EXPECT_EQ(q->SubmitRead({0, 512, buf.data(), 9}).code(),
+              StatusCode::kResourceExhausted);
+    IoCompletion comp;
+    ASSERT_EQ(q->PollCompletions(&comp, 1), 1u);
+    EXPECT_TRUE(q->SubmitRead({0, 512, buf.data(), 9}).ok());
+    IoCompletion rest[8];
+    EXPECT_EQ(q->PollCompletions(rest, 8), capacity);
+  }
+}
+
+// A queue destroyed with reads still queued abandons them: their buffers
+// are never written, then or later (under ASan, a late copy into the
+// freed buffers below would be a use-after-free).
+TEST(MemoryDevice, DestroyedQueueNeverWritesAbandonedBuffers) {
+  auto dev = MemoryDevice::Create(1 << 16);
+  ASSERT_TRUE(dev.ok());
+  WritePattern(dev->get(), 0, 4096, 7);
+  auto bufs = std::make_unique<std::vector<uint8_t>[]>(4);
+  {
+    auto queue = (*dev)->CreateQueue({.queue_capacity = 8});
+    ASSERT_TRUE(queue.ok());
+    for (uint32_t i = 0; i < 4; ++i) {
+      bufs[i].assign(512, 0xAB);
+      ASSERT_TRUE((*queue)->SubmitRead({i * 512ULL, 512, bufs[i].data(), i}).ok());
+    }
+    EXPECT_EQ((*dev)->outstanding(), 4u);
+  }
+  EXPECT_EQ((*dev)->outstanding(), 0u);
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::count(bufs[i].begin(), bufs[i].end(), 0xAB), 512) << i;
+  }
+  bufs.reset();
+  // Nothing else on the device still holds the abandoned reads.
+  IoCompletion comps[8];
+  EXPECT_EQ((*dev)->PollCompletions(comps, 8), 0u);
+  auto fresh = (*dev)->CreateQueue({.queue_capacity = 8});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*fresh)->PollCompletions(comps, 8), 0u);
+  EXPECT_EQ((*dev)->stats().reads_completed, 0u);
+}
+
+// stats() and outstanding() read a queue's inbox while its owner thread
+// submits and harvests (the ThreadSanitizer leg checks the locking).
+TEST(MemoryDevice, StatsReadableWhileQueueRuns) {
+  auto dev = MemoryDevice::Create(1 << 20);
+  ASSERT_TRUE(dev.ok());
+  auto queue = (*dev)->CreateQueue({.queue_capacity = 16});
+  ASSERT_TRUE(queue.ok());
+  constexpr uint32_t kReads = 4000;
+  std::atomic<bool> done{false};
+  std::thread driver([&] {
+    util::AlignedBuffer buf(16 * 512);
+    IoCompletion comps[16];
+    uint32_t submitted = 0;
+    while (submitted < kReads) {
+      for (uint32_t i = 0; i < 16 && submitted < kReads; ++i, ++submitted) {
+        const IoRequest req{(submitted % 2048) * 512ULL, 512,
+                            buf.data() + i * 512, submitted};
+        EXPECT_TRUE((*queue)->SubmitRead(req).ok());
+      }
+      while ((*queue)->PollCompletions(comps, 16) > 0) {
+      }
+    }
+    done = true;
+  });
+  uint64_t last = 0;
+  while (!done) {
+    const uint64_t now = (*dev)->stats().reads_completed;
+    EXPECT_GE(now, last);
+    EXPECT_LE((*queue)->outstanding(), 16u);
+    last = now;
+  }
+  driver.join();
+  EXPECT_EQ((*queue)->stats().reads_completed, kReads);
+  EXPECT_EQ((*dev)->stats().bytes_read, kReads * 512ULL);
 }
 
 TEST(SimulatedDevice, DataIntegrityThroughQueue) {
